@@ -89,8 +89,9 @@ impl EpochManager {
     }
 
     /// Runs one epoch over a transaction batch: elect leader → derive
-    /// randomness → form shards (using all accumulated history) → assign
-    /// miners. The batch is then absorbed into the history.
+    /// randomness → absorb the batch into the history → form shards
+    /// (using all accumulated history, the batch included) → assign
+    /// miners.
     pub fn run_epoch(&mut self, batch: &[Transaction]) -> EpochOutcome {
         let epoch = self.epoch;
         self.epoch += 1;
@@ -176,8 +177,8 @@ impl EpochManager {
     }
 
     /// Shared epoch body: the elected (or failed-over) `winner` derives
-    /// the randomness, shards are formed against accumulated history, and
-    /// every miner is reassigned. The batch is then absorbed.
+    /// the randomness, the batch is absorbed into the accumulated history,
+    /// shards are formed against it, and every miner is reassigned.
     fn complete_epoch(
         &mut self,
         epoch: u64,
@@ -188,17 +189,16 @@ impl EpochManager {
         let leader = self.miners[winner].id;
         let (randomness, _proof) = self.miners[winner].vrf.evaluate(epoch.to_be_bytes());
 
-        // Formation against accumulated history.
-        let plan = ShardPlan::build(batch, &self.history);
+        // Absorb the batch, then form shards against the history that
+        // now includes it.
+        self.history.observe_all(batch.iter());
+        let plan = ShardPlan::classify(batch, &self.history);
         let assignment = MinerAssignment::new(randomness, &plan.fractions_percent());
         let shard_of: BTreeMap<MinerId, ShardId> = self
             .miners
             .iter()
             .map(|m| (m.id, assignment.shard_of(m.vrf.public_key())))
             .collect();
-
-        // Absorb the batch.
-        self.history.observe_all(batch.iter());
 
         EpochOutcome {
             epoch,

@@ -5,7 +5,7 @@
 //! participate in more than one contract or have directly sent transactions
 //! to other users] form a unique shard, called the MaxShard."
 
-use cshard_ledger::{CallGraph, SenderClass, Transaction, TxKind};
+use cshard_ledger::{CallGraph, Transaction};
 use cshard_primitives::{Address, ContractId, ShardId};
 use std::collections::BTreeMap;
 
@@ -40,81 +40,33 @@ impl ShardPlan {
     /// it* — the incremental twin of [`ShardPlan::build`]. A pipeline that
     /// owns its history absorbs each batch into the graph once and
     /// classifies in place, instead of cloning the whole accumulated
-    /// history every epoch.
+    /// history every epoch. This is [`ShardPlan::classify_placed`] with no
+    /// pins.
     pub fn classify(transactions: &[Transaction], graph: &CallGraph) -> ShardPlan {
-        let mut contract_shards: BTreeMap<ShardId, Vec<usize>> = BTreeMap::new();
-        let mut maxshard = Vec::new();
-        let mut shard_of = Vec::with_capacity(transactions.len());
-        for (i, tx) in transactions.iter().enumerate() {
-            match graph.isolable_contract(tx) {
-                Some(c) => {
-                    let shard = Self::shard_for_contract(c);
-                    contract_shards.entry(shard).or_default().push(i);
-                    shard_of.push(shard);
-                }
-                None => {
-                    maxshard.push(i);
-                    shard_of.push(ShardId::MAX_SHARD);
-                }
-            }
-        }
-        ShardPlan {
-            contract_shards,
-            maxshard,
-            shard_of,
-        }
-    }
-
-    /// Classifies a batch against *cached* sender classes instead of the
-    /// call graph — the churn-proportional twin of [`ShardPlan::classify`].
-    ///
-    /// `routes` must hold, for every sender in the batch, the class the
-    /// graph would report **after** observing the batch (the classify
-    /// stage maintains exactly this: it refreshes the dirty senders and
-    /// carries the rest forward). Under that contract the plan is
-    /// bit-identical to a full reclassification: the isolable predicate
-    /// ([`CallGraph::isolable_contract`]) reads nothing but the sender's
-    /// class and the transaction's own kind.
-    pub fn classify_cached(
-        transactions: &[Transaction],
-        routes: &BTreeMap<Address, SenderClass>,
-    ) -> ShardPlan {
         static NO_PINS: BTreeMap<Address, ShardId> = BTreeMap::new();
-        Self::classify_placed(transactions, routes, &NO_PINS)
+        Self::classify_placed(transactions, graph, &NO_PINS)
     }
 
-    /// [`ShardPlan::classify_cached`] with placement pins on top.
+    /// [`ShardPlan::classify`] with placement pins on top.
     ///
     /// A pinned sender was migrated off the MaxShard to a contract's home
     /// shard: its calls *to that contract* route home regardless of its
-    /// cached class, while everything else (calls to other contracts,
-    /// direct transfers, multi-input) still follows the cached rules —
-    /// those touch cross-contract state and belong on the MaxShard. With
-    /// no pins this is exactly `classify_cached`.
+    /// class, while everything else (calls to other contracts, direct
+    /// transfers, multi-input) still follows the graph's
+    /// [`CallGraph::isolable_contract`] — those touch cross-contract state
+    /// and belong on the MaxShard.
     pub fn classify_placed(
         transactions: &[Transaction],
-        routes: &BTreeMap<Address, SenderClass>,
+        graph: &CallGraph,
         pins: &BTreeMap<Address, ShardId>,
     ) -> ShardPlan {
         let mut contract_shards: BTreeMap<ShardId, Vec<usize>> = BTreeMap::new();
         let mut maxshard = Vec::new();
         let mut shard_of = Vec::with_capacity(transactions.len());
         for (i, tx) in transactions.iter().enumerate() {
-            let isolable = match &tx.kind {
-                TxKind::ContractCall { contract, .. }
-                    if pins.get(&tx.sender) == Some(&Self::shard_for_contract(*contract)) =>
-                {
-                    Some(*contract)
-                }
-                TxKind::ContractCall { contract, .. } => match routes.get(&tx.sender) {
-                    Some(SenderClass::SingleContract(c)) if c == contract => Some(*c),
-                    // Mirrors the graph's Unknown-sender rule; unreachable
-                    // when routes cover the observed batch, kept for the
-                    // same semantics on partial caches.
-                    Some(SenderClass::Unknown) | None => Some(*contract),
-                    _ => None,
-                },
-                _ => None,
+            let isolable = match tx.kind.contract() {
+                Some(c) if pins.get(&tx.sender) == Some(&Self::shard_for_contract(c)) => Some(c),
+                _ => graph.isolable_contract(tx),
             };
             match isolable {
                 Some(c) => {
@@ -367,56 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn classify_cached_matches_classify_on_full_routes() {
-        use cshard_ledger::Transaction;
-        use cshard_primitives::{Address, Amount};
-        // A mix that exercises every classification branch: single-contract,
-        // multi-contract, direct-then-call, and multi-input side effects.
-        let mut txs = Vec::new();
-        for u in 0..20u64 {
-            txs.push(Transaction::call(
-                Address::user(u),
-                0,
-                ContractId::new((u % 4) as u32),
-                Amount(10),
-                Amount(1),
-            ));
-        }
-        txs.push(Transaction::call(
-            Address::user(1),
-            1,
-            ContractId::new(3),
-            Amount(10),
-            Amount(1),
-        ));
-        txs.push(Transaction::direct(
-            Address::user(2),
-            1,
-            Address::user(50),
-            Amount(5),
-            Amount(1),
-        ));
-        txs.push(Transaction::multi_input(
-            Address::user(3),
-            1,
-            vec![Address::user(3), Address::user(4)],
-            Address::user(51),
-            Amount(6),
-            Amount::ZERO,
-        ));
-        let mut graph = CallGraph::new();
-        graph.observe_all(txs.iter());
-        let full = ShardPlan::classify(&txs, &graph);
-        let routes: BTreeMap<_, _> = graph.senders().map(|a| (a, graph.classify(a))).collect();
-        let cached = ShardPlan::classify_cached(&txs, &routes);
-        assert_eq!(full.contract_shards, cached.contract_shards);
-        assert_eq!(full.maxshard, cached.maxshard);
-        assert_eq!(full.shard_of, cached.shard_of);
-    }
-
-    #[test]
     fn classify_placed_routes_only_pinned_home_calls() {
-        use cshard_ledger::{SenderClass, Transaction};
+        use cshard_ledger::Transaction;
         use cshard_primitives::{Address, Amount};
         // A multi-contract sender, pinned to contract 0's home shard.
         let txs = vec![
@@ -436,9 +340,10 @@ mod tests {
             ),
             Transaction::direct(Address::user(1), 2, Address::user(9), Amount(5), Amount(1)),
         ];
-        let routes: BTreeMap<_, _> = [(Address::user(1), SenderClass::MultiContract)].into();
+        let mut graph = CallGraph::new();
+        graph.observe_all(txs.iter());
         let pins: BTreeMap<_, _> = [(Address::user(1), ShardId::new(0))].into();
-        let placed = ShardPlan::classify_placed(&txs, &routes, &pins);
+        let placed = ShardPlan::classify_placed(&txs, &graph, &pins);
         assert_eq!(placed.shard_of[0], ShardId::new(0), "home call routes home");
         assert_eq!(placed.shard_of[1], ShardId::MAX_SHARD, "foreign call stays");
         assert_eq!(
@@ -446,10 +351,10 @@ mod tests {
             ShardId::MAX_SHARD,
             "direct transfer stays"
         );
-        // With no pins, classify_placed IS classify_cached.
-        let unpinned = ShardPlan::classify_placed(&txs, &routes, &BTreeMap::new());
-        let cached = ShardPlan::classify_cached(&txs, &routes);
-        assert_eq!(unpinned.shard_of, cached.shard_of);
+        // With no pins, classify_placed IS classify.
+        let unpinned = ShardPlan::classify_placed(&txs, &graph, &BTreeMap::new());
+        let classified = ShardPlan::classify(&txs, &graph);
+        assert_eq!(unpinned.shard_of, classified.shard_of);
         assert_eq!(unpinned.maxshard, vec![0, 1, 2]);
     }
 

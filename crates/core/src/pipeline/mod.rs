@@ -137,12 +137,13 @@ pub struct StageOutput {
     /// Scheduler task slots skipped (no queued work, never stepped) — the
     /// idle-shard saving, as a number.
     pub tasks_skipped: u64,
-    /// Senders whose classification was recomputed this epoch because
-    /// their call-graph participation changed (classify stage only).
+    /// Senders whose call-graph state this epoch's batch changed, plus
+    /// migrated senders appearing for the first time since their move
+    /// (classify stage only).
     pub reclassified: u64,
-    /// Batch senders whose cached classification was carried forward
-    /// unchanged (classify stage only) — the churn-proportionality
-    /// saving, as a number.
+    /// Batch senders whose call-graph state the batch left unchanged
+    /// (classify stage only) — the churn-proportionality saving, as a
+    /// number.
     pub carried: u64,
 }
 
@@ -341,7 +342,7 @@ pub struct EpochRun {
     /// The block-production report.
     pub run: RunReport,
     /// Migrations the placement stage proposed this epoch. Already applied
-    /// to the classify stage's route map — routing changes next epoch —
+    /// to the classify stage's pins — routing changes next epoch —
     /// and handed out so a runtime harness can execute the moves (drain,
     /// re-key, switch) through `Event::Migration`.
     pub migrations: Vec<Migration>,

@@ -1,8 +1,8 @@
 //! The incremental-classification pin: across a 200-seed fuzz grid of
 //! churn patterns (repeat-heavy pools, diversifiers, spam floods, direct
-//! traffic), the classify stage's carry-forward plan must be
-//! **bit-identical** to reclassifying every sender from scratch each
-//! epoch. This is the contract that lets classification work scale with
+//! traffic), the classify stage's plan, read off its persistent packed
+//! call graph, must be **bit-identical** to a from-scratch graph that
+//! observes the whole history each epoch. This is the contract that lets classification work scale with
 //! churn instead of batch size without perturbing a single golden result.
 
 use cshard_core::pipeline::{ClassifyStage, EpochCtx, PipelineStage};
@@ -133,8 +133,8 @@ fn repeat_heavy_epochs_carry_most_senders() {
 
 #[test]
 fn spam_floods_reclassify_every_fresh_sender() {
-    // Pure spam: every arrival is a brand-new throwaway sender, so the
-    // carry cache never helps — the opposite corner of the grid.
+    // Pure spam: every arrival is a brand-new throwaway sender, so no
+    // sender is ever carried — the opposite corner of the grid.
     let txs: Vec<Transaction> = TxStream::new(StreamConfig {
         spam: Some(SpamFlood {
             start: SimTime::ZERO,

@@ -20,7 +20,8 @@
 //! * [`mempool`] — the unvalidated-transaction pool with fee-greedy
 //!   selection (the behaviour that serializes vanilla Ethereum, Sec. II-B).
 //! * [`callgraph`] — the user↔contract call graph miners maintain locally to
-//!   classify senders (Sec. III-C's "more elegant way").
+//!   classify senders (Sec. III-C's "more elegant way"), one packed state
+//!   per sender.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +30,6 @@ pub mod account;
 pub mod block;
 pub mod callgraph;
 pub mod chain;
-pub mod classifier;
 pub mod codec;
 pub mod contract;
 pub mod error;
@@ -44,7 +44,6 @@ pub use account::{Account, AccountKind};
 pub use block::{Block, BlockHeader};
 pub use callgraph::{CallGraph, SenderClass};
 pub use chain::Chain;
-pub use classifier::CompactClassifier;
 pub use contract::{Condition, SmartContract};
 pub use error::LedgerError;
 pub use light::{InclusionProof, LightClient, LightError};
