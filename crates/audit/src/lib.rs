@@ -46,6 +46,11 @@
 //!
 //! `#[cfg(test)] mod` bodies are exempt everywhere; residual exceptions
 //! live in the policy's `allow` lists, each with a comment saying why.
+//!
+//! Alongside the rules, the call graph yields an info-only *orphan*
+//! report ([`callgraph::CallGraph::orphans`]): public fns that no
+//! non-test code calls, counting calls from the exempt crates and the
+//! facade crate. It never fails a run; it lists deletion candidates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

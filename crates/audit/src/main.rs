@@ -8,7 +8,9 @@
 //!
 //! `--json <path>` writes the stable `AUDIT_report.json`; `--baseline
 //! <path>` additionally diffs it against the committed baseline and
-//! fails on any new finding or resolution-coverage drop.
+//! fails on any new finding or resolution-coverage drop. The report's
+//! `orphans` list (public fns with no non-test caller) is info only and
+//! never affects the exit code.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -97,6 +99,14 @@ fn main() -> ExitCode {
     }
     for finding in &report.findings {
         println!("{finding}");
+    }
+    // Info only, never gating: deletion candidates, not findings.
+    if !report.orphans.is_empty() {
+        println!(
+            "cshard-audit: info: {} public fns have no non-test caller \
+             (listed under `orphans` in the --json report)",
+            report.orphans.len()
+        );
     }
     let doc = report_json(&report);
     if let Some(path) = &json_out {

@@ -38,10 +38,17 @@ pub fn report_json(report: &ScanReport) -> Value {
         .field("sink_roots", report.sink_roots)
         .field("reachable", report.reachable)
         .build();
+    // Info only: the baseline gate never reads this list.
+    let orphans: Vec<Value> = report
+        .orphans
+        .iter()
+        .map(|(path, line, id)| Value::from(format!("{path}:{line}: {id}").as_str()))
+        .collect();
     ObjectBuilder::new()
         .field("schema", 1u64)
         .field("findings", Value::Array(findings))
         .field("stats", stats)
+        .field("orphans", Value::Array(orphans))
         .build()
 }
 

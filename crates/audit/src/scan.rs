@@ -30,6 +30,9 @@ pub struct ScanReport {
     /// Calls the resolver could not settle — a `[callgraph] resolve`
     /// override is required; the binary treats these as setup errors.
     pub ambiguous: Vec<AmbiguousCall>,
+    /// Info only, never gating: public fns with no non-test caller in the
+    /// scanned crates ([`CallGraph::orphans`]), as `(path, line, id)`.
+    pub orphans: Vec<(String, usize, String)>,
 }
 
 /// Scans every policy-listed crate under `root` and returns the findings.
@@ -57,6 +60,20 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     let symbols = SymbolTable::build(&file_tokens);
     let graph = CallGraph::build(&file_tokens, &symbols, &policy.callgraph);
     let taint = taint::analyze(&file_tokens, &symbols, &graph, policy);
+    let called_elsewhere = crate::callgraph::calls_from(
+        &caller_only_files(root, policy),
+        &symbols,
+        &policy.callgraph,
+    );
+    report.orphans = graph
+        .orphans(&symbols, &called_elsewhere)
+        .into_iter()
+        .map(|i| {
+            let d = &symbols.fns[i];
+            (d.path.clone(), d.line, d.id())
+        })
+        .collect();
+    report.orphans.sort();
     report.stats = graph.stats;
     report.ambiguous = graph.ambiguous;
     report.sink_roots = taint.sink_roots.len();
@@ -91,6 +108,38 @@ pub fn uncovered_crates(root: &Path, policy: &Policy) -> Vec<String> {
         .collect();
     uncovered.sort();
     uncovered
+}
+
+/// Workspace code outside the scanned crates whose calls still keep a
+/// public fn alive: the exempt crates' sources and the facade crate's
+/// `src/`. Examples and integration tests do not count. Unreadable files
+/// are skipped: nothing here is audited.
+fn caller_only_files(root: &Path, policy: &Policy) -> Vec<FileTokens> {
+    let mut files = Vec::new();
+    let mut ignored = Vec::new();
+    let dirs = policy
+        .exempt
+        .iter()
+        .map(|k| (k.as_str(), root.join("crates").join(k).join("src")))
+        .chain([("", root.join("src"))]);
+    for (krate, dir) in dirs {
+        if !dir.is_dir() {
+            continue;
+        }
+        let mut paths = Vec::new();
+        collect_rs_files(&dir, &mut paths, &mut ignored);
+        paths.sort();
+        for path in paths {
+            if let Ok(source) = fs::read_to_string(&path) {
+                files.push(FileTokens::new(
+                    krate,
+                    &workspace_relative(root, &path),
+                    &source,
+                ));
+            }
+        }
+    }
+    files
 }
 
 /// Reads, lexes and token-rule-checks one file; returns its tokens for

@@ -75,6 +75,8 @@ pub struct FnDef {
     pub deprecated: bool,
     /// Whether the item is test-only (`#[cfg(test)]` span, `#[test]`).
     pub is_test: bool,
+    /// Whether the item is declared plain `pub` (not `pub(crate)` etc.).
+    pub is_pub: bool,
 }
 
 impl FnDef {
@@ -348,7 +350,7 @@ fn parse_fn(
     if !tokens.get(j).is_some_and(|t| t.is_punct("(")) {
         return None;
     }
-    let (arity, after_params) = count_params(tokens, j)?;
+    let (arity, after_params) = count_params(tokens, j, true)?;
     // Signature tail: the body `{` or a declaration-ending `;`, at zero
     // bracket depth (return types like `-> [u8; 32]` contain `;`).
     let mut k = after_params;
@@ -406,6 +408,17 @@ fn parse_fn(
     let is_test = ft.in_test_span(i)
         || (attrs.iter().any(|a| a == "test") && !attrs.iter().any(|a| a == "not"));
     let deprecated = attrs.iter().any(|a| a == "deprecated");
+    // Walk left over `const async unsafe extern "C"` to the visibility.
+    let mut v = i;
+    while v > 0
+        && (["const", "async", "unsafe", "extern"]
+            .iter()
+            .any(|q| tokens[v - 1].is_ident(q))
+            || tokens[v - 1].kind == TokenKind::Literal)
+    {
+        v -= 1;
+    }
+    let is_pub = v > 0 && tokens[v - 1].is_ident("pub");
     Some(FnDef {
         krate: ft.krate.clone(),
         file: file_idx,
@@ -419,13 +432,21 @@ fn parse_fn(
         body,
         deprecated,
         is_test,
+        is_pub,
     })
 }
 
 /// Counts parameters in the group opening at `open` (which points at `(`),
 /// returning `(count, index past the close paren)`. Top-level commas are
-/// counted with closure parameter pipes (`|a, b|`) skipped.
-pub(crate) fn count_params(tokens: &[Token], open: usize) -> Option<(usize, usize)> {
+/// counted with closure parameter pipes (`|a, b|`) skipped. With
+/// `generics`, `<...>` nests too, so a parameter type like
+/// `BTreeMap<K, V>` counts once; only a definition's signature may set
+/// it, since in a call's arguments `<` can be a comparison.
+pub(crate) fn count_params(
+    tokens: &[Token],
+    open: usize,
+    generics: bool,
+) -> Option<(usize, usize)> {
     let mut depth = 0i32;
     let mut commas = 0usize;
     let mut any = false;
@@ -433,9 +454,13 @@ pub(crate) fn count_params(tokens: &[Token], open: usize) -> Option<(usize, usiz
     let mut j = open;
     while j < tokens.len() {
         let t = &tokens[j];
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
+        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") || (generics && t.is_punct("<")) {
             depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
+        } else if t.is_punct(")")
+            || t.is_punct("]")
+            || t.is_punct("}")
+            || (generics && t.is_punct(">"))
+        {
             depth -= 1;
             if depth == 0 && t.is_punct(")") {
                 if any && !last_was_comma {

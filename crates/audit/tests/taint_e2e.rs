@@ -242,3 +242,46 @@ fn ambiguous_call_exits_2_until_a_resolve_override_settles_it() {
         .expect("run cshard-audit");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
+
+/// The orphan report is info only: the run stays clean (exit 0) while the
+/// JSON report lists the public fns nothing calls, and a call from an
+/// exempt crate keeps a fn off the list.
+#[test]
+fn orphans_are_listed_without_failing_the_run() {
+    let lib = "//! one live chain, one orphan pair, one fn only an exempt crate calls\n\
+               pub fn used_by_bench() -> u32 {\n    1\n}\n\
+               pub fn dead_entry() -> u32 {\n    dead_helper()\n}\n\
+               pub fn dead_helper() -> u32 {\n    2\n}\n";
+    let root = mini_workspace("orphans", lib);
+    let bench = root.join("crates/bench/src");
+    fs::create_dir_all(&bench).expect("mkdir exempt crate");
+    fs::write(
+        bench.join("main.rs"),
+        "fn main() {\n    cshard_core::used_by_bench();\n}\n",
+    )
+    .expect("write exempt crate");
+    fs::write(
+        root.join("policy.toml"),
+        "[audit]\ncrates = [\"core\"]\nexempt = [\"bench\"]\n",
+    )
+    .expect("write policy");
+    let json = root.join("AUDIT_report.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
+        .args(["--root", root.to_str().expect("utf-8 tmp path")])
+        .args(["--json", json.to_str().expect("utf-8 tmp path")])
+        .output()
+        .expect("run cshard-audit");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("info: 2 public fns"), "{stdout}");
+    let report = fs::read_to_string(&json).expect("report written");
+    assert!(
+        report.contains("crates/core/src/lib.rs:5: core::dead_entry"),
+        "{report}"
+    );
+    assert!(
+        report.contains("crates/core/src/lib.rs:8: core::dead_helper"),
+        "{report}"
+    );
+    assert!(!report.contains("used_by_bench"), "{report}");
+}
