@@ -2,8 +2,9 @@
 //!
 //! Exit codes: `0` clean, `1` findings or a baseline regression, `2`
 //! setup error (policy missing, unparseable, a workspace crate covered
-//! by neither `[audit] crates` nor `[audit] exempt`, or a call the
-//! resolver cannot settle without a `[callgraph] resolve` override).
+//! by neither `[audit] crates` nor `[audit] exempt`, a `[callgraph]
+//! sinks` spec that roots no function, or a call the resolver cannot
+//! settle without a `[callgraph] resolve` override).
 //! Run from anywhere inside the workspace (`just audit`).
 //!
 //! `--json <path>` writes the stable `AUDIT_report.json`; `--baseline
@@ -77,6 +78,17 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let report = scan_workspace(&root, &policy);
+    // A sink spec that roots nothing silently shrinks the taint pass (a
+    // renamed or deleted sink fn): a policy error, not a clean run.
+    if !report.unresolved_sinks.is_empty() {
+        for spec in &report.unresolved_sinks {
+            eprintln!(
+                "cshard-audit: policy.toml: [callgraph] sinks entry `{spec}` roots no \
+                 function — point it at an existing method or remove it"
+            );
+        }
+        return ExitCode::from(2);
+    }
     // An unresolved call is a hole in the reachability argument: taint
     // cannot flow through an edge the resolver never drew. Setup error.
     if !report.ambiguous.is_empty() {

@@ -30,6 +30,9 @@ pub struct ScanReport {
     /// Calls the resolver could not settle — a `[callgraph] resolve`
     /// override is required; the binary treats these as setup errors.
     pub ambiguous: Vec<AmbiguousCall>,
+    /// `[callgraph] sinks` specs that root no function; the binary
+    /// treats these as policy errors.
+    pub unresolved_sinks: Vec<String>,
     /// Info only, never gating: public fns with no non-test caller in the
     /// scanned crates ([`CallGraph::orphans`]), as `(path, line, id)`.
     pub orphans: Vec<(String, usize, String)>,
@@ -77,6 +80,7 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     report.stats = graph.stats;
     report.ambiguous = graph.ambiguous;
     report.sink_roots = taint.sink_roots.len();
+    report.unresolved_sinks = taint.unresolved_sinks;
     report.reachable = taint.reachable;
     report.findings.extend(taint.findings);
     report

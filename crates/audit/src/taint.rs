@@ -51,6 +51,11 @@ pub struct TaintReport {
     pub sink_roots: Vec<usize>,
     /// Functions reachable from any root (roots included).
     pub reachable: usize,
+    /// Sink specs that root no function (malformed, or naming a method
+    /// nothing in the workspace defines or calls) — a policy error: a
+    /// renamed or deleted sink would otherwise silently shrink the
+    /// taint pass.
+    pub unresolved_sinks: Vec<String>,
 }
 
 /// Runs taint propagation over the call graph.
@@ -60,11 +65,12 @@ pub fn analyze(
     graph: &CallGraph,
     policy: &Policy,
 ) -> TaintReport {
-    let roots = sink_roots(symbols, graph, &policy.callgraph.sinks);
+    let (roots, unresolved_sinks) = sink_roots(symbols, graph, &policy.callgraph.sinks);
     let (parent, order) = bfs(symbols, graph, &roots);
     let mut report = TaintReport {
         sink_roots: roots,
         reachable: order.len(),
+        unresolved_sinks,
         ..TaintReport::default()
     };
     let mut seen: BTreeSet<(&'static str, String, usize, String)> = BTreeSet::new();
@@ -105,12 +111,19 @@ pub fn analyze(
 
 /// Resolves the policy's sink specs to function indices, sorted by
 /// display id (so BFS tie-breaking — and with it chain selection — is
-/// deterministic across runs).
-pub fn sink_roots(symbols: &SymbolTable, graph: &CallGraph, sinks: &[String]) -> Vec<usize> {
+/// deterministic across runs), plus the specs that rooted nothing, in
+/// policy order.
+pub fn sink_roots(
+    symbols: &SymbolTable,
+    graph: &CallGraph,
+    sinks: &[String],
+) -> (Vec<usize>, Vec<String>) {
     let mut roots: Vec<usize> = Vec::new();
+    let mut unresolved: Vec<String> = Vec::new();
     for spec in sinks {
         let hits = if let Some(target) = spec.strip_prefix("calls:") {
             let Some((owner, method)) = target.split_once("::") else {
+                unresolved.push(spec.clone());
                 continue;
             };
             let targets: Vec<usize> = symbols
@@ -123,18 +136,26 @@ pub fn sink_roots(symbols: &SymbolTable, graph: &CallGraph, sinks: &[String]) ->
             graph.callers_of(&targets)
         } else {
             let Some((trait_name, method)) = spec.split_once("::") else {
+                unresolved.push(spec.clone());
                 continue;
             };
             symbols.trait_impls(trait_name, method)
         };
+        let mut rooted = false;
         for i in hits {
-            if symbols.fns[i].body.is_some() && !symbols.fns[i].is_test && !roots.contains(&i) {
-                roots.push(i);
+            if symbols.fns[i].body.is_some() && !symbols.fns[i].is_test {
+                rooted = true;
+                if !roots.contains(&i) {
+                    roots.push(i);
+                }
             }
+        }
+        if !rooted {
+            unresolved.push(spec.clone());
         }
     }
     roots.sort_by_key(|&i| symbols.fns[i].id());
-    roots
+    (roots, unresolved)
 }
 
 /// Breadth-first search from all roots at once: shortest chains, ties
@@ -500,6 +521,22 @@ mod tests {
         assert!(report.findings[0].message.contains("unwrap"));
         // The source sits in the root itself: single-hop chain.
         assert_eq!(report.findings[0].chain.len(), 1);
+    }
+
+    #[test]
+    fn a_sink_spec_that_roots_nothing_is_reported() {
+        let (files, symbols, graph, mut policy) = two_hop_fixture();
+        policy.callgraph.sinks = vec![
+            "ProtocolDriver::on_event".into(),
+            "calls:GoneDriver::apply".into(),
+            "no_separator".into(),
+        ];
+        let report = analyze(&files, &symbols, &graph, &policy);
+        assert_eq!(report.sink_roots.len(), 1);
+        assert_eq!(
+            report.unresolved_sinks,
+            vec!["calls:GoneDriver::apply".to_string(), "no_separator".into()]
+        );
     }
 
     #[test]

@@ -285,3 +285,37 @@ fn orphans_are_listed_without_failing_the_run() {
     );
     assert!(!report.contains("used_by_bench"), "{report}");
 }
+
+/// A `[callgraph] sinks` spec that roots no function is a policy error:
+/// the binary exits 2 naming the spec, and re-pointing it at the method
+/// that exists settles the run.
+#[test]
+fn sink_spec_rooting_nothing_exits_2_until_it_names_a_real_method() {
+    let lib = "//! one driver whose apply path is a sink\n\
+               pub struct Driver;\n\
+               impl Driver {\n    fn apply(&mut self) -> u32 {\n        1\n    }\n\
+               \x20   pub fn on_event(&mut self) -> u32 {\n        self.apply()\n    }\n}\n";
+    let root = mini_workspace("taint-unresolved-sink", lib);
+    let policy =
+        |sink: &str| format!("[audit]\ncrates = [\"core\"]\n[callgraph]\nsinks = [\"{sink}\"]\n");
+    fs::write(root.join("policy.toml"), policy("calls:GoneDriver::apply")).expect("write policy");
+    let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
+        .args(["--root", root.to_str().expect("utf-8 tmp path")])
+        .output()
+        .expect("run cshard-audit");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("sinks entry `calls:GoneDriver::apply` roots no function"),
+        "{stderr}"
+    );
+
+    fs::write(root.join("policy.toml"), policy("calls:Driver::apply")).expect("write policy");
+    let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
+        .args(["--root", root.to_str().expect("utf-8 tmp path")])
+        .output()
+        .expect("run cshard-audit");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1 sink roots"), "{stdout}");
+}

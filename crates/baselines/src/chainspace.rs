@@ -259,14 +259,6 @@ impl ChainspaceDriver {
         &self.settled
     }
 
-    /// Installs partition blackout windows toward `dest` on the batched
-    /// settlement path (no-op when settlement is disabled).
-    pub fn set_blackouts(&mut self, dest: ShardId, windows: Vec<(SimTime, SimTime)>) {
-        if let Some(b) = self.settle.as_mut() {
-            b.set_blackouts(dest, windows);
-        }
-    }
-
     fn round_delay(&mut self) -> SimTime {
         self.latency.delay(self.vrng.unit())
     }

@@ -22,12 +22,11 @@ use crate::experiments::grid_config;
 use crate::report::{ExperimentResult, Series};
 use cshard_core::Migration;
 use cshard_core::{
-    EpochInput, EpochPipeline, MigratingShardDriver, MigrationTicket, PipelineConfig,
-    PlacementConfig, Runtime, RuntimeConfig, SettleConfig, SettlingShardDriver, ShardPlan,
-    ShardSpec,
+    EpochInput, EpochPipeline, MigrationTicket, PipelineConfig, PlacementConfig, RuntimeConfig,
+    SettleConfig, ShardPlan, ShardSpec,
 };
 use cshard_crypto::sha256;
-use cshard_network::CommKind;
+use cshard_faults::{run_with_migration, FaultPlan};
 use cshard_primitives::{Address, ShardId, SimTime};
 use cshard_sim::SchedulerConfig;
 use cshard_workload::{StreamConfig, TxStream};
@@ -172,14 +171,17 @@ fn run_arm(placed: bool, epochs: usize, per_epoch: usize, sched: SchedulerConfig
                 })
                 .collect();
             let spec = ShardSpec::solo_greedy(ShardId::MAX_SHARD, shard_fees);
-            let inner = SettlingShardDriver::new(&spec, &runtime, transfers);
-            let driver = MigratingShardDriver::new(inner, tickets);
-            let outcome = Runtime::builder()
-                .scheduler(sched)
-                .run(vec![driver])
-                .expect("valid MaxShard run");
-            crosslinks += outcome.comm.for_kind(CommKind::Crosslink);
-            applied += outcome.drivers[0].stats().applied;
+            let out = run_with_migration(
+                &[spec],
+                &[transfers],
+                &[tickets],
+                &runtime,
+                &FaultPlan::none(0),
+            )
+            .expect("valid MaxShard run");
+            // One crosslink per settled batch plus one handoff per move.
+            crosslinks += out.settle.batches + out.migrations.applied;
+            applied += out.migrations.applied;
         }
         pending.extend(run.migrations);
         points.push((epoch as f64 + 1.0, crosslinks as f64 / txs.max(1) as f64));

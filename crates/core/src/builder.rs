@@ -19,7 +19,7 @@ use crate::system::{MinerAllocation, ShardingSystem, SystemConfig};
 use cshard_games::MergingConfig;
 use cshard_place::PlacementConfig;
 use cshard_primitives::{Error, SimTime};
-use cshard_runtime::{PropagationModel, SchedulerConfig, SettleConfig};
+use cshard_runtime::{PropagationModel, SchedulerConfig};
 
 /// Builds a validated [`ShardingSystem`].
 #[derive(Clone, Debug)]
@@ -155,14 +155,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Cross-shard settlement batching (default disabled). Only
-    /// settlement-aware drivers (the settling wrapper, ChainSpace's
-    /// batched mode) read this; the plain sharded runs ignore it.
-    pub fn settlement(mut self, settle: SettleConfig) -> Self {
-        self.config.runtime.settle = settle;
-        self
-    }
-
     /// The cross-epoch placement engine: merge-group carry-over plus
     /// hot-account migration (default disabled). Off, the pipeline is
     /// bit-identical to a build without the engine.
@@ -226,7 +218,6 @@ impl SystemBuilder {
         if let Some(m) = &self.config.merging {
             m.validate()?;
         }
-        rt.settle.validate()?;
         self.config.placement.validate()?;
         Ok(ShardingSystem::new(self.config))
     }
@@ -347,22 +338,6 @@ mod tests {
                 "zero merge slot cap",
                 bad_merge(|m| m.max_slots = 0),
                 Want::Config("merging.max_slots"),
-            ),
-            (
-                "zero settlement batch cap",
-                SystemBuilder::new().settlement(SettleConfig {
-                    batch_cap: 0,
-                    ..SettleConfig::batched(1)
-                }),
-                Want::Config("settle.batch_cap"),
-            ),
-            (
-                "zero settlement timeout",
-                SystemBuilder::new().settlement(SettleConfig {
-                    timeout: SimTime::ZERO,
-                    ..SettleConfig::batched(100)
-                }),
-                Want::Config("settle.timeout"),
             ),
             (
                 "zero placement dominance",

@@ -1,9 +1,12 @@
 //! Running the contract-centric simulator under a fault plan.
 //!
 //! This harness sits *below* the epoch pipeline: it takes the same
-//! [`ShardSpec`]s the pipeline's select stage produces and wraps the same
-//! [`ContractShardDriver`]s its unify stage builds — there is no second
-//! epoch implementation here. Classification, formation, merging and
+//! [`ShardSpec`]s the pipeline's select stage produces and runs them on
+//! the same contract-shard drivers its unify stage builds, inside the
+//! [`SettlingShardDriver`] that adds settlement and migration (inert
+//! with no transfers and no tickets) — there is no second epoch
+//! implementation here. One private body assembles every run;
+//! [`run_with_faults`] and [`run_with_migration`] are projections of it. Classification, formation, merging and
 //! selection all happen upstream in `cshard_core::pipeline::EpochPipeline`
 //! (or its leader-fault sibling `EpochManager::run_epoch_with_downs` in
 //! [`crate::epochs`]); this module only faults the block-production run.
@@ -14,9 +17,8 @@ use crate::report::FaultReport;
 use cshard_network::{LatencyModel, PartitionModel, PartitionWindow};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
-    Batch, ContractShardDriver, MigratingShardDriver, MigrationStats, MigrationTicket,
-    PropagationModel, RunReport, Runtime, RuntimeConfig, SettleStats, SettlingShardDriver,
-    ShardSpec,
+    Batch, MigrationStats, MigrationTicket, PropagationModel, RunOutcome, RunReport, Runtime,
+    RuntimeConfig, SettleStats, SettlingShardDriver, ShardSpec,
 };
 use std::collections::BTreeSet;
 
@@ -84,156 +86,10 @@ fn partitioned(
     Ok(PropagationModel::Partition(model))
 }
 
-/// `cshard_runtime::simulate` under a [`FaultPlan`].
-///
-/// Builds one [`ContractShardDriver`] per spec (partitioned shards get
-/// their propagation model rewritten first), wraps each in a
-/// [`FaultyDriver`], runs the standard two-phase harness, and reads the
-/// fault accounting back out of the wrappers.
-///
-/// Determinism: the result is a pure function of `(shards, config, plan)`
-/// — bit-identical at any `config.scheduler`, with runtime randomness keyed
-/// by `config.seed` and fault randomness keyed by `plan.seed`. Under
-/// `FaultPlan::none(..)` the report fingerprint equals the unwrapped
-/// `simulate`'s exactly.
-pub fn run_with_faults(
-    shards: &[ShardSpec],
-    config: &RuntimeConfig,
-    plan: &FaultPlan,
-) -> Result<FaultRun, Error> {
-    plan.validate()?;
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
-    }
-    let mut drivers = Vec::with_capacity(shards.len());
-    for spec in shards {
-        let windows = plan.partitions_for(spec.shard);
-        let driver = if windows.is_empty() {
-            ContractShardDriver::new(spec, config)
-        } else {
-            let mut shard_config = config.clone();
-            shard_config.propagation = partitioned(&config.propagation, windows)?;
-            ContractShardDriver::new(spec, &shard_config)
-        };
-        drivers.push(FaultyDriver::new(driver, spec.shard, plan));
-    }
-    let outcome = Runtime::builder()
-        .scheduler(config.scheduler)
-        .run(drivers)?;
-    let (run, finished) = (outcome.report, outcome.drivers);
-    let faults = FaultReport {
-        shards: finished.iter().map(|d| d.stats().clone()).collect(),
-    };
-    Ok(FaultRun { run, faults })
-}
-
-/// A faulted run with batched cross-shard settlement: the ordinary run
-/// report, the fault accounting, the aggregate settlement accounting and
-/// every crosslink each shard shipped.
-#[derive(Clone, Debug)]
-pub struct SettledFaultRun {
-    /// The standard run report.
-    pub run: RunReport,
-    /// What the injected faults did.
-    pub faults: FaultReport,
-    /// Settlement accounting folded over all shards.
-    pub settle: SettleStats,
-    /// Per shard (spec order): the batches it flushed, in flush order.
-    pub batches: Vec<Vec<Batch>>,
-}
-
-/// [`run_with_faults`] with batched cross-shard settlement
-/// (`cshard-settle`) layered on each shard.
-///
-/// `transfers[i]` lists shard `i`'s outbound transfers as
-/// `(local tx index, destination shard)`: each becomes eligible when its
-/// transaction confirms and ships inside a crosslink batch. Partition
-/// windows from the plan black out settlement pairs on *either* endpoint
-/// — a flush falling inside a blackout defers to the heal and settles
-/// exactly once there, which the returned [`SettledFaultRun::batches`]
-/// lets callers assert transfer-for-transfer.
-///
-/// Determinism matches [`run_with_faults`]: the result is a pure function
-/// of `(shards, transfers, config, plan)` at any `config.scheduler`.
-pub fn run_with_settlement(
-    shards: &[ShardSpec],
-    transfers: &[Vec<(usize, ShardId)>],
-    config: &RuntimeConfig,
-    plan: &FaultPlan,
-) -> Result<SettledFaultRun, Error> {
-    plan.validate()?;
-    config.settle.validate()?;
-    if transfers.len() != shards.len() {
-        return Err(Error::Config {
-            field: "transfers",
-            reason: format!(
-                "one transfer list per shard: got {} lists for {} shards",
-                transfers.len(),
-                shards.len()
-            ),
-        });
-    }
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
-    }
-    let mut drivers = Vec::with_capacity(shards.len());
-    for (spec, outbound) in shards.iter().zip(transfers) {
-        let windows = plan.partitions_for(spec.shard);
-        let mut driver = if windows.is_empty() {
-            SettlingShardDriver::new(spec, config, outbound.clone())
-        } else {
-            let mut shard_config = config.clone();
-            shard_config.propagation = partitioned(&config.propagation, windows)?;
-            SettlingShardDriver::new(spec, &shard_config, outbound.clone())
-        };
-        // A settlement pair is blacked out while *either* endpoint is
-        // partitioned: the source cannot send, the destination cannot
-        // receive.
-        let dests: BTreeSet<ShardId> = outbound.iter().map(|&(_, d)| d).collect();
-        for dest in dests {
-            let mut pair: Vec<(SimTime, SimTime)> = plan.partitions_for(spec.shard);
-            pair.extend(plan.partitions_for(dest));
-            driver.set_blackouts(dest, pair);
-        }
-        drivers.push(FaultyDriver::new(driver, spec.shard, plan));
-    }
-    let outcome = Runtime::builder()
-        .scheduler(config.scheduler)
-        .run(drivers)?;
-    let settle = outcome.settle;
-    let (run, finished) = (outcome.report, outcome.drivers);
-    let mut shard_stats = Vec::with_capacity(finished.len());
-    let mut batches = Vec::with_capacity(finished.len());
-    for wrapper in finished {
-        let (stats, inner) = wrapper.into_parts();
-        shard_stats.push(stats);
-        batches.push(inner.settled_batches().to_vec());
-    }
-    Ok(SettledFaultRun {
-        run,
-        faults: FaultReport {
-            shards: shard_stats,
-        },
-        settle,
-        batches,
-    })
-}
-
 /// A faulted run with batched settlement *and* scheduled hot-account
-/// migration: everything [`SettledFaultRun`] carries, plus the migration
-/// accounting and per-ticket apply times.
+/// migration: the ordinary run report, the fault accounting, the
+/// settlement and migration accounting, every crosslink each shard
+/// shipped and per-ticket apply times.
 #[derive(Clone, Debug)]
 pub struct MigratedFaultRun {
     /// The standard run report.
@@ -251,19 +107,54 @@ pub struct MigratedFaultRun {
     pub applied: Vec<Vec<Option<SimTime>>>,
 }
 
-/// [`run_with_settlement`] with a hot-account migration schedule layered
-/// on each shard (`cshard_runtime::MigratingShardDriver`).
+/// `cshard_runtime::simulate` under a [`FaultPlan`]: the harness body
+/// with no transfers and no migration tickets, projected onto the run
+/// report and the fault accounting.
 ///
+/// Determinism: the result is a pure function of `(shards, config, plan)`
+/// — bit-identical at any `config.scheduler`, with runtime randomness keyed
+/// by `config.seed` and fault randomness keyed by `plan.seed`. Under
+/// `FaultPlan::none(..)` the report fingerprint equals the unwrapped
+/// `simulate`'s exactly.
+pub fn run_with_faults(
+    shards: &[ShardSpec],
+    config: &RuntimeConfig,
+    plan: &FaultPlan,
+) -> Result<FaultRun, Error> {
+    let n = shards.len();
+    let outcome = run_body(
+        shards,
+        &vec![Vec::new(); n],
+        &vec![Vec::new(); n],
+        config,
+        plan,
+    )?;
+    Ok(FaultRun {
+        faults: FaultReport {
+            shards: outcome.drivers.iter().map(|d| d.stats().clone()).collect(),
+        },
+        run: outcome.report,
+    })
+}
+
+/// [`run_with_faults`] with batched cross-shard settlement and a
+/// hot-account migration schedule on each shard
+/// (`cshard_runtime::SettlingShardDriver`).
+///
+/// `transfers[i]` lists shard `i`'s outbound transfers as
+/// `(local tx index, destination shard)`: each becomes eligible when its
+/// transaction confirms and ships inside a crosslink batch.
 /// `schedules[i]` lists shard `i`'s [`MigrationTicket`]s. Each apply
 /// drains the moving account's open settlement pairs, re-keys its
 /// unsubmitted transfers to the new home shard and books the move as one
-/// crosslink. Partition windows from the plan black out the pair toward a
-/// ticket's destination exactly as they black out settlement flushes: an
-/// apply falling inside a blackout defers to the heal and applies exactly
-/// once there, which [`MigratedFaultRun::applied`] lets callers assert
-/// ticket-for-ticket.
+/// crosslink. Partition windows from the plan black out a pair on
+/// *either* endpoint — a flush or an apply falling inside a blackout
+/// defers to the heal and happens exactly once there, which
+/// [`MigratedFaultRun::batches`] and [`MigratedFaultRun::applied`] let
+/// callers assert transfer-for-transfer and ticket-for-ticket. Empty
+/// schedules give plain batched settlement under faults.
 ///
-/// Determinism matches [`run_with_settlement`]: the result is a pure
+/// Determinism matches [`run_with_faults`]: the result is a pure
 /// function of `(shards, transfers, schedules, config, plan)` at any
 /// `config.scheduler`.
 pub fn run_with_migration(
@@ -273,27 +164,60 @@ pub fn run_with_migration(
     config: &RuntimeConfig,
     plan: &FaultPlan,
 ) -> Result<MigratedFaultRun, Error> {
+    let outcome = run_body(shards, transfers, schedules, config, plan)?;
+    let n = outcome.drivers.len();
+    let (mut faults, mut batches, mut applied) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    let mut migrations = MigrationStats::default();
+    for wrapper in outcome.drivers {
+        let (stats, driver) = wrapper.into_parts();
+        faults.push(stats);
+        batches.push(driver.settled_batches().to_vec());
+        migrations = migrations.merge(&driver.migration_stats());
+        applied.push(driver.applied_at().to_vec());
+    }
+    Ok(MigratedFaultRun {
+        run: outcome.report,
+        faults: FaultReport { shards: faults },
+        settle: outcome.settle,
+        batches,
+        migrations,
+        applied,
+    })
+}
+
+/// The one harness body: validates the inputs, builds one
+/// [`SettlingShardDriver`] per spec (partitioned shards get their
+/// propagation model rewritten first, and every pair toward a transfer
+/// or ticket destination is blacked out while *either* endpoint is
+/// partitioned — the source cannot send, the destination cannot
+/// receive), wraps each in a [`FaultyDriver`] and runs the standard
+/// two-phase harness.
+fn run_body(
+    shards: &[ShardSpec],
+    transfers: &[Vec<(usize, ShardId)>],
+    schedules: &[Vec<MigrationTicket>],
+    config: &RuntimeConfig,
+    plan: &FaultPlan,
+) -> Result<RunOutcome<FaultyDriver<SettlingShardDriver>>, Error> {
     plan.validate()?;
     config.settle.validate()?;
-    if transfers.len() != shards.len() {
-        return Err(Error::Config {
-            field: "transfers",
-            reason: format!(
-                "one transfer list per shard: got {} lists for {} shards",
-                transfers.len(),
-                shards.len()
-            ),
-        });
-    }
-    if schedules.len() != shards.len() {
-        return Err(Error::Config {
-            field: "schedules",
-            reason: format!(
-                "one migration schedule per shard: got {} schedules for {} shards",
-                schedules.len(),
-                shards.len()
-            ),
-        });
+    for (field, lists) in [
+        ("transfers", transfers.len()),
+        ("schedules", schedules.len()),
+    ] {
+        if lists != shards.len() {
+            return Err(Error::Config {
+                field,
+                reason: format!(
+                    "one list per shard: got {lists} for {} shards",
+                    shards.len()
+                ),
+            });
+        }
     }
     if config.block_capacity == 0 {
         return Err(Error::Config {
@@ -306,60 +230,26 @@ pub fn run_with_migration(
     }
     let mut drivers = Vec::with_capacity(shards.len());
     for ((spec, outbound), schedule) in shards.iter().zip(transfers).zip(schedules) {
-        let windows = plan.partitions_for(spec.shard);
-        let settling = if windows.is_empty() {
-            SettlingShardDriver::new(spec, config, outbound.clone())
-        } else {
-            let mut shard_config = config.clone();
-            shard_config.propagation = partitioned(&config.propagation, windows)?;
-            SettlingShardDriver::new(spec, &shard_config, outbound.clone())
-        };
-        let mut driver = MigratingShardDriver::new(settling, schedule.clone());
-        // A pair is blacked out while *either* endpoint is partitioned —
-        // settlement pairs toward transfer destinations and migration
-        // pairs toward ticket destinations alike.
+        let own = plan.partitions_for(spec.shard);
+        let mut shard_config = config.clone();
+        if !own.is_empty() {
+            shard_config.propagation = partitioned(&config.propagation, own.clone())?;
+        }
+        let mut driver =
+            SettlingShardDriver::new(spec, &shard_config, outbound.clone(), schedule.clone())?;
         let dests: BTreeSet<ShardId> = outbound
             .iter()
             .map(|&(_, d)| d)
             .chain(schedule.iter().map(|t| t.to))
             .collect();
         for dest in dests {
-            let mut pair: Vec<(SimTime, SimTime)> = plan.partitions_for(spec.shard);
+            let mut pair = own.clone();
             pair.extend(plan.partitions_for(dest));
             driver.set_blackouts(dest, pair);
         }
         drivers.push(FaultyDriver::new(driver, spec.shard, plan));
     }
-    let outcome = Runtime::builder()
-        .scheduler(config.scheduler)
-        .run(drivers)?;
-    let settle = outcome.settle;
-    let (run, finished) = (outcome.report, outcome.drivers);
-    let mut shard_stats = Vec::with_capacity(finished.len());
-    let mut batches = Vec::with_capacity(finished.len());
-    let mut migrations = MigrationStats::default();
-    let mut applied = Vec::with_capacity(finished.len());
-    for wrapper in finished {
-        let (stats, inner) = wrapper.into_parts();
-        shard_stats.push(stats);
-        batches.push(inner.inner().settled_batches().to_vec());
-        migrations = migrations.merge(&inner.stats());
-        applied.push(
-            (0..inner.schedule().len())
-                .map(|slot| inner.applied_at(slot))
-                .collect(),
-        );
-    }
-    Ok(MigratedFaultRun {
-        run,
-        faults: FaultReport {
-            shards: shard_stats,
-        },
-        settle,
-        batches,
-        migrations,
-        applied,
-    })
+    Runtime::builder().scheduler(config.scheduler).run(drivers)
 }
 
 #[cfg(test)]
@@ -466,6 +356,34 @@ mod tests {
         }
     }
 
+    /// Settlement alone: the harness with empty migration schedules.
+    fn run_settled(
+        shards: &[ShardSpec],
+        transfers: &[Vec<(usize, ShardId)>],
+        config: &RuntimeConfig,
+        plan: &FaultPlan,
+    ) -> Result<MigratedFaultRun, Error> {
+        let schedules = vec![Vec::new(); shards.len()];
+        run_with_migration(shards, transfers, &schedules, config, plan)
+    }
+
+    /// A partition of shard 1 over `[30 s, 400 s)` plus a crash of its
+    /// miner over `[60 s, 120 s)`.
+    fn partition_and_crash_plan() -> FaultPlan {
+        FaultPlan::none(9)
+            .with_partition(
+                ShardId::new(1),
+                SimTime::from_secs(30),
+                SimTime::from_secs(400),
+            )
+            .with_crash(
+                ShardId::new(1),
+                0,
+                SimTime::from_secs(60),
+                Some(SimTime::from_secs(120)),
+            )
+    }
+
     #[test]
     fn partition_mid_batch_defers_and_settles_exactly_once_on_heal() {
         let (shards, transfers) = settled_fixture();
@@ -474,7 +392,7 @@ mod tests {
         // flush deadline fires inside the partition and must defer.
         let heal = SimTime::from_secs(20_000);
         let plan = FaultPlan::none(0).with_partition(ShardId::new(1), SimTime::ZERO, heal);
-        let out = run_with_settlement(&shards, &transfers, &cfg, &plan).expect("valid");
+        let out = run_settled(&shards, &transfers, &cfg, &plan).expect("valid");
         assert!(
             out.settle.deferred_flushes >= 1,
             "every deadline fired mid-partition: {:?}",
@@ -498,24 +416,12 @@ mod tests {
     #[test]
     fn settled_fault_runs_are_thread_count_invariant() {
         let (shards, transfers) = settled_fixture();
-        let plan = FaultPlan::none(9)
-            .with_partition(
-                ShardId::new(1),
-                SimTime::from_secs(30),
-                SimTime::from_secs(400),
-            )
-            .with_crash(
-                ShardId::new(1),
-                0,
-                SimTime::from_secs(60),
-                Some(SimTime::from_secs(120)),
-            );
-        let base = run_with_settlement(&shards, &transfers, &settled_config(23, 10, 1), &plan)
-            .expect("valid");
+        let plan = partition_and_crash_plan();
+        let base =
+            run_settled(&shards, &transfers, &settled_config(23, 10, 1), &plan).expect("valid");
         for threads in [4, 0] {
-            let other =
-                run_with_settlement(&shards, &transfers, &settled_config(23, 10, threads), &plan)
-                    .expect("valid");
+            let other = run_settled(&shards, &transfers, &settled_config(23, 10, threads), &plan)
+                .expect("valid");
             assert_eq!(base.run.fingerprint(), other.run.fingerprint());
             assert_eq!(base.faults, other.faults);
             assert_eq!(base.settle, other.settle);
@@ -526,7 +432,7 @@ mod tests {
     #[test]
     fn settlement_harness_rejects_mismatched_transfer_lists() {
         let (shards, _) = settled_fixture();
-        let err = run_with_settlement(
+        let err = run_settled(
             &shards,
             &[Vec::new()],
             &settled_config(1, 10, 1),
@@ -543,22 +449,43 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_settled_run_matches_unfaulted_driver() {
-        let (shards, transfers) = settled_fixture();
-        let cfg = settled_config(23, 10, 1);
-        let faulted =
-            run_with_settlement(&shards, &transfers, &cfg, &FaultPlan::none(0)).expect("valid");
-        assert!(faulted.faults.is_clean());
-        assert_eq!(faulted.settle.txs_settled, 50);
-        // Same trajectory as the bare settling driver on the plain harness.
-        let bare = Runtime::builder()
-            .run(vec![
-                SettlingShardDriver::new(&shards[0], &cfg, transfers[0].clone()),
-                SettlingShardDriver::new(&shards[1], &cfg, transfers[1].clone()),
-            ])
+    fn transfer_outside_its_shard_is_a_config_error() {
+        let (shards, mut transfers) = settled_fixture();
+        // Shard 1 holds 40 txs; tx 40 does not exist.
+        transfers[1].push((40, ShardId::new(0)));
+        let err = run_settled(
+            &shards,
+            &transfers,
+            &settled_config(1, 10, 1),
+            &FaultPlan::none(0),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "transfers",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn run_with_faults_is_run_with_migration_without_transfers_or_tickets() {
+        let (shards, _) = settled_fixture();
+        let cfg = config(23);
+        let plan = partition_and_crash_plan();
+        let faulted = run_with_faults(&shards, &cfg, &plan).expect("valid");
+        let empty = vec![Vec::new(); shards.len()];
+        let migrated = run_with_migration(&shards, &empty, &[Vec::new(), Vec::new()], &cfg, &plan)
             .expect("valid");
-        assert_eq!(faulted.run.fingerprint(), bare.report.fingerprint());
-        assert_eq!(faulted.settle, bare.settle);
+        assert!(!faulted.faults.is_clean(), "the plan must bite");
+        assert_eq!(faulted.run.fingerprint(), migrated.run.fingerprint());
+        assert_eq!(faulted.faults, migrated.faults);
+        assert!(migrated.settle.is_empty());
+        assert_eq!(migrated.migrations, MigrationStats::default());
     }
 
     // ---- hot-account migration under faults ----
@@ -614,18 +541,7 @@ mod tests {
     #[test]
     fn migrated_fault_runs_are_thread_count_invariant() {
         let (shards, transfers, schedules) = migrated_fixture();
-        let plan = FaultPlan::none(9)
-            .with_partition(
-                ShardId::new(1),
-                SimTime::from_secs(30),
-                SimTime::from_secs(400),
-            )
-            .with_crash(
-                ShardId::new(1),
-                0,
-                SimTime::from_secs(60),
-                Some(SimTime::from_secs(120)),
-            );
+        let plan = partition_and_crash_plan();
         let base = run_with_migration(
             &shards,
             &transfers,
@@ -653,26 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_schedules_match_run_with_settlement_exactly() {
-        let (shards, transfers) = settled_fixture();
-        let cfg = settled_config(23, 10, 1);
-        let plan = FaultPlan::none(0).with_partition(
-            ShardId::new(1),
-            SimTime::from_secs(30),
-            SimTime::from_secs(400),
-        );
-        let settled = run_with_settlement(&shards, &transfers, &cfg, &plan).expect("valid");
-        let migrated =
-            run_with_migration(&shards, &transfers, &[Vec::new(), Vec::new()], &cfg, &plan)
-                .expect("valid");
-        assert_eq!(migrated.run.fingerprint(), settled.run.fingerprint());
-        assert_eq!(migrated.faults, settled.faults);
-        assert_eq!(migrated.settle, settled.settle);
-        assert_eq!(migrated.batches, settled.batches);
-        assert_eq!(migrated.migrations, MigrationStats::default());
-    }
-
-    #[test]
     fn migration_harness_rejects_mismatched_schedule_lists() {
         let (shards, transfers) = settled_fixture();
         let err = run_with_migration(
@@ -690,6 +586,31 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn ticket_slot_outside_its_table_is_a_config_error() {
+        let (shards, transfers, mut schedules) = migrated_fixture();
+        // Shard 0 has 50 transfer slots; slot 50 does not exist.
+        schedules[0][0].transfers.push(50);
+        let err = run_with_migration(
+            &shards,
+            &transfers,
+            &schedules,
+            &settled_config(1, 10, 1),
+            &FaultPlan::none(0),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "schedules",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

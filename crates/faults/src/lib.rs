@@ -14,7 +14,10 @@
 //!   plan it is bit-for-bit transparent ([`driver`]).
 //! * [`run_with_faults`] — the contract-centric `simulate` under a plan,
 //!   returning the ordinary [`cshard_runtime::RunReport`] *plus* a
-//!   [`FaultReport`] of what the faults did ([`harness`]).
+//!   [`FaultReport`] of what the faults did; [`run_with_migration`] — the
+//!   same run with batched cross-shard settlement and hot-account
+//!   migration tickets on each shard. Both are projections of one
+//!   harness body ([`harness`]).
 //! * [`epochs`] — VRF-ranked leader failover: crash or equivocate the
 //!   unification leader and watch every miner deterministically agree on
 //!   the next-ranked fallback.
@@ -40,9 +43,6 @@ pub use driver::FaultyDriver;
 pub use epochs::{
     equivocation_detected, run_leader_faults, EpochFaultOutcome, EpochFaultReport, LeaderFaultPlan,
 };
-pub use harness::{
-    run_with_faults, run_with_migration, run_with_settlement, FaultRun, MigratedFaultRun,
-    SettledFaultRun,
-};
+pub use harness::{run_with_faults, run_with_migration, FaultRun, MigratedFaultRun};
 pub use plan::{FaultAction, FaultPlan};
 pub use report::{FaultReport, ShardFaultStats};

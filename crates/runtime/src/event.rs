@@ -64,13 +64,14 @@ pub enum Event {
         dest: ShardId,
     },
     /// A scheduled hot-account migration reaches its apply time
-    /// (`cshard-runtime`'s `MigratingShardDriver`): the account's open
+    /// (`cshard-runtime`'s `SettlingShardDriver`): the account's open
     /// settlement pairs are drained, its unsubmitted transfers re-keyed
     /// to the new home shard, and the move booked as one crosslink.
     /// Staleness and blackout deferral follow the same deadline rules as
     /// [`Event::SettlementFlush`] — an event applies its ticket only when
     /// its timestamp matches the recorded deadline, and a mid-partition
-    /// apply re-arms at the heal instant.
+    /// apply re-arms at the heal instant the settlement batcher computes
+    /// from its own blackout table.
     Migration {
         /// Index into the driver's migration schedule.
         slot: usize,

@@ -33,9 +33,14 @@
 //! The concrete drivers for the paper's protocols live here too:
 //! [`ContractShardDriver`] (one shard of the contract-centric scheme or,
 //! on the MaxShard, vanilla Ethereum) and [`EthereumDriver`] (the
-//! degenerate single-chain instance). The ChainSpace driver builds on
-//! these from `cshard-baselines`, which layers 2PC validation events on
-//! top.
+//! degenerate single-chain instance). [`SettlingShardDriver`] carries
+//! the cross-shard accounting on top of a contract shard in one driver:
+//! batched settlement of outbound transfers ([`Event::SettlementFlush`])
+//! and scheduled hot-account moves ([`MigrationTicket`],
+//! [`Event::Migration`]), both deferring through the settlement
+//! batcher's one blackout table and heal rule. The ChainSpace driver
+//! builds on these from `cshard-baselines`, which layers 2PC validation
+//! events on top.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,7 +51,6 @@ pub mod contract;
 pub mod driver;
 pub mod event;
 pub mod harness;
-pub mod migrate;
 pub mod propagation;
 pub mod report;
 pub mod settle;
@@ -63,8 +67,7 @@ pub use cshard_sim::{DrainStats, SchedulerConfig};
 pub use driver::{Ctx, ProtocolDriver};
 pub use event::Event;
 pub use harness::{RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime};
-pub use migrate::{MigratingShardDriver, MigrationStats, MigrationTicket};
 pub use propagation::PropagationModel;
 pub use report::{throughput_improvement, RunReport, ShardReport};
-pub use settle::SettlingShardDriver;
+pub use settle::{MigrationStats, MigrationTicket, SettlingShardDriver};
 pub use stream::{ArrivalSource, StreamDriver};

@@ -142,10 +142,12 @@ impl SettlementBatcher {
         self.pairs.get(&dest).map_or(0, |p| p.transfers.len())
     }
 
-    /// If the pair is blacked out at `t`, the instant it heals (chains
-    /// through overlapping windows: the heal of one window may land
-    /// inside another).
-    fn heal_time(&self, dest: ShardId, t: SimTime) -> Option<SimTime> {
+    /// If the pair toward `dest` is blacked out at `t`, the instant it
+    /// heals (chains through overlapping windows: the heal of one window
+    /// may land inside another). The one heal rule: flushes defer through
+    /// it here, and the settling driver defers migration applies through
+    /// it too.
+    pub fn heal_time(&self, dest: ShardId, t: SimTime) -> Option<SimTime> {
         let windows = self.blackouts.get(&dest)?;
         let mut at = t;
         let mut blacked = false;

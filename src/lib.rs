@@ -103,9 +103,9 @@ pub mod prelude {
     pub use cshard_primitives::Error;
     pub use cshard_primitives::{Address, Amount, ContractId, Hash32, MinerId, ShardId, SimTime};
     pub use cshard_runtime::{
-        ContractShardDriver, Ctx, EthereumDriver, Event, MigratingShardDriver, MigrationStats,
-        MigrationTicket, PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome,
-        RunPhase, RunSchedStats, Runtime,
+        ContractShardDriver, Ctx, EthereumDriver, Event, MigrationStats, MigrationTicket,
+        PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase,
+        RunSchedStats, Runtime,
     };
     pub use cshard_security::{shard_safety, CorruptionThreshold};
     pub use cshard_sim::{DrainStats, SchedulerConfig, WorkScheduler};
