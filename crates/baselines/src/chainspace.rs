@@ -137,12 +137,14 @@ impl ChainspacePlacement {
     /// rounds, but the cross-shard messaging toward each foreign shard is
     /// handed to a [`SettlementBatcher`] and ships one
     /// [`CommKind::Crosslink`] per flushed batch.
+    ///
+    /// Errors as [`ChainspaceDriver::new`].
     pub fn drivers(
         &self,
         fees: &[u64],
         config: &RuntimeConfig,
         latency: LatencyModel,
-    ) -> Vec<ChainspaceDriver> {
+    ) -> Result<Vec<ChainspaceDriver>, Error> {
         self.shard_tx_indices()
             .into_iter()
             .enumerate()
@@ -215,15 +217,16 @@ pub struct ChainspaceDriver {
 
 impl ChainspaceDriver {
     /// A shard driver over its home-queue `fees` (local order) and its
-    /// cross-shard transactions.
+    /// cross-shard transactions. Errors with whatever
+    /// [`RuntimeConfig::validate`] rejects.
     pub fn new(
         shard: ShardId,
         fees: Vec<u64>,
         cross_txs: Vec<CrossTx>,
         config: &RuntimeConfig,
         latency: LatencyModel,
-    ) -> ChainspaceDriver {
-        let spec = ShardSpec::solo_greedy(shard, fees);
+    ) -> Result<ChainspaceDriver, Error> {
+        let mining = ContractShardDriver::new(&ShardSpec::solo_greedy(shard, fees), config)?;
         let prf = Prf::new(config.seed.to_be_bytes());
         let vrng = SimRng::from_seed_bytes(
             *prf.eval("chainspace-2pc-v1", shard.0.to_be_bytes())
@@ -233,8 +236,8 @@ impl ChainspaceDriver {
             .settle
             .enabled
             .then(|| SettlementBatcher::new(shard, &config.settle));
-        ChainspaceDriver {
-            mining: ContractShardDriver::new(&spec, config),
+        Ok(ChainspaceDriver {
+            mining,
             shard,
             cross_txs,
             latency,
@@ -243,7 +246,7 @@ impl ChainspaceDriver {
             rounds_recorded: 0,
             settle,
             settled: Vec::new(),
-        }
+        })
     }
 
     /// Communication rounds this driver has booked so far (2 per
@@ -487,7 +490,10 @@ mod tests {
         let fees = w.fees();
         let outcome = Runtime::builder()
             .comm_stats(CommStats::new())
-            .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
+            .run(
+                p.drivers(&fees, &cfg, LatencyModel::wide_area())
+                    .expect("valid config"),
+            )
             .expect("well-formed");
         // Mining still confirms the whole workload under the driver.
         assert_eq!(outcome.report.total_txs(), count);
@@ -538,7 +544,10 @@ mod tests {
         };
         let fees = w.fees();
         let driven = Runtime::builder()
-            .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
+            .run(
+                p.drivers(&fees, &cfg, LatencyModel::wide_area())
+                    .expect("valid config"),
+            )
             .expect("well-formed")
             .report;
         let specs: Vec<ShardSpec> = p
@@ -584,9 +593,12 @@ mod tests {
         };
         let fees = w.fees();
         let outcome = Runtime::builder()
-            .threads(threads)
+            .scheduler(cshard_runtime::SchedulerConfig::new(threads))
             .comm_stats(CommStats::new())
-            .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
+            .run(
+                p.drivers(&fees, &cfg, LatencyModel::wide_area())
+                    .expect("valid config"),
+            )
             .expect("well-formed drivers");
         (p, outcome)
     }
@@ -694,7 +706,10 @@ mod tests {
             let outcome = Runtime::builder()
                 .scheduler(cfg.scheduler)
                 .comm_stats(CommStats::new())
-                .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
+                .run(
+                    p.drivers(&fees, &cfg, LatencyModel::wide_area())
+                        .expect("valid config"),
+                )
                 .expect("well-formed");
             (outcome.report.fingerprint(), outcome.comm.total())
         };

@@ -69,7 +69,11 @@ pub fn run_a(quick: bool) -> ExperimentResult {
             let fees = w.fees();
             let cs_run = Runtime::builder()
                 .scheduler(grid_config())
-                .run(placement.drivers(&fees, &cfg, LatencyModel::wide_area()))
+                .run(
+                    placement
+                        .drivers(&fees, &cfg, LatencyModel::wide_area())
+                        .expect("valid config"),
+                )
                 .expect("well-formed drivers")
                 .report;
             cs_imp += throughput_improvement(&ethereum, &cs_run);
@@ -118,7 +122,11 @@ pub fn run_b(quick: bool) -> ExperimentResult {
             let fees = w.fees();
             let outcome = Runtime::builder()
                 .comm_stats(CommStats::new())
-                .run(placement.drivers(&fees, &cfg, LatencyModel::wide_area()))
+                .run(
+                    placement
+                        .drivers(&fees, &cfg, LatencyModel::wide_area())
+                        .expect("valid config"),
+                )
                 .expect("well-formed drivers");
             // One snapshot per run instead of ad-hoc per-kind reads: the
             // 2PC rounds are the only kind booked, and the snapshot is

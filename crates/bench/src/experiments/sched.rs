@@ -59,7 +59,8 @@ fn measure(shards: usize, repeats: u64) -> Point {
         let drivers: Vec<ContractShardDriver> = specs
             .iter()
             .map(|s| ContractShardDriver::new(s, &cfg))
-            .collect();
+            .collect::<Result<_, _>>()
+            .expect("valid sparse grid");
         let outcome = Runtime::builder()
             .scheduler(cfg.scheduler)
             .run(drivers)
@@ -158,7 +159,8 @@ mod tests {
             let drivers: Vec<ContractShardDriver> = specs
                 .iter()
                 .map(|s| ContractShardDriver::new(s, &cfg))
-                .collect();
+                .collect::<Result<_, _>>()
+                .expect("valid sparse grid");
             let outcome = Runtime::builder()
                 .scheduler(cfg.scheduler)
                 .run(drivers)

@@ -51,7 +51,11 @@ fn messages_per_tx_on(count: usize, settle: Option<SettleConfig>, sched: Schedul
     let outcome = Runtime::builder()
         .scheduler(sched)
         .comm_stats(CommStats::new())
-        .run(placement.drivers(&fees, &cfg, LatencyModel::wide_area()))
+        .run(
+            placement
+                .drivers(&fees, &cfg, LatencyModel::wide_area())
+                .expect("valid config"),
+        )
         .expect("well-formed drivers");
     let cross = placement.cross_shard_count().max(1) as f64;
     outcome.comm.snapshot().total() as f64 / cross

@@ -1,26 +1,24 @@
 //! Proof-of-Work consensus.
 //!
-//! Two layers, used by different experiment scales:
-//!
 //! * [`pow`] — a *real* PoW: nonce search over the block-header SHA-256
 //!   until the hash shows the required leading zero bits. Used by the
 //!   examples and small integration tests, where actually grinding hashes
 //!   is cheap and demonstrates the full pipeline.
-//! * [`process`] — the *statistical* model of the same thing: block
-//!   discovery as a Poisson process whose rate is hash power divided by
-//!   difficulty. Used by the evaluation harness, which needs thousands of
-//!   blocks per run (the paper's testbed mines one block per minute on a
-//!   c5.large; we calibrate to the same rates, see [`difficulty`]).
+//! * [`difficulty`] and [`retarget`] — the difficulty target, the block
+//!   rate it implies for a given hash rate, and its retargeting rule.
+//!
+//! The evaluation harness does not grind hashes: it needs thousands of
+//! blocks per run, so each simulated miner draws exponential inter-block
+//! times (block discovery as a Poisson process, one block per minute in
+//! the paper's c5.large calibration) through `cshard_sim::SimRng`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod difficulty;
 pub mod pow;
-pub mod process;
 pub mod retarget;
 
 pub use difficulty::Difficulty;
 pub use pow::{mine, verify_pow, MAX_POW_ITERATIONS};
-pub use process::MiningProcess;
 pub use retarget::next_difficulty;

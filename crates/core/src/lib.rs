@@ -46,9 +46,9 @@ pub use cshard_place::{HotAccount, Migration, PlacementConfig, PlacementEngine};
 pub use cshard_runtime::report::{throughput_improvement, RunReport, ShardReport};
 pub use cshard_runtime::{
     simulate, simulate_ethereum, ContractShardDriver, EthereumDriver, Event, MigrationStats,
-    MigrationTicket, PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome,
-    RunPhase, RunSchedStats, Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy,
-    SettleConfig, SettleStats, SettlingShardDriver, ShardSpec, StreamDriver,
+    MigrationTicket, PropagationModel, ProtocolDriver, RunBuilder, RunOutcome, RunSchedStats,
+    Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleConfig, SettleStats,
+    SettlingShardDriver, ShardSpec,
 };
 pub use epoch::{EpochManager, EpochOutcome};
 pub use formation::ShardPlan;
@@ -83,9 +83,9 @@ pub mod prelude {
     pub use cshard_primitives::{Error, ShardId, SimTime};
     pub use cshard_runtime::{
         ContractShardDriver, Ctx, EthereumDriver, Event, MigrationStats, MigrationTicket,
-        PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase, RunReport,
-        RunSchedStats, Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleConfig,
-        SettleStats, SettlingShardDriver, ShardSpec, StreamDriver,
+        PropagationModel, ProtocolDriver, RunBuilder, RunOutcome, RunReport, RunSchedStats,
+        Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleConfig, SettleStats,
+        SettlingShardDriver, ShardSpec,
     };
     pub use cshard_workload::{StreamConfig, TxStream};
 }

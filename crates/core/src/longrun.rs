@@ -19,7 +19,7 @@ use cshard_ledger::Transaction;
 use cshard_place::PlacementConfig;
 use cshard_primitives::{Error, Hash32, MinerId, SimTime};
 use cshard_runtime::report::throughput_improvement;
-use cshard_runtime::{simulate_ethereum, Runtime, RuntimeConfig, StreamDriver};
+use cshard_runtime::{simulate_ethereum, RuntimeConfig};
 
 /// The randomness an epoch's unified game parameters derive from (the
 /// leader's VRF output is already baked into the assignment; a stable
@@ -160,36 +160,49 @@ impl LongRun {
     }
 
     /// Drives epochs from a lazy arrival stream instead of pre-cut
-    /// batches: arrivals are injected through a
-    /// [`cshard_runtime::StreamDriver`] (one [`cshard_runtime::Event::TxInjected`]
-    /// in flight at a time), sealed into per-epoch batches every
-    /// `epoch_interval` of simulated time, and each non-empty batch is
-    /// replayed through [`LongRun::run_epoch`]. Intervals with no
-    /// arrivals produce no epoch — a long-lived deployment idles through
-    /// quiet periods instead of erroring on empty batches.
+    /// batches. An arrival at `t` belongs to epoch
+    /// `t / epoch_interval`; the first arrival past a boundary runs the
+    /// open batch through [`LongRun::run_epoch`] before the next arrival
+    /// is pulled, and the last batch runs when the stream ends. Only one
+    /// batch is held at a time, and intervals with no arrivals produce no
+    /// epoch — a long-lived deployment idles through quiet periods
+    /// instead of erroring on empty batches.
     ///
     /// Returns the reports of the epochs this call ran, in order (they
-    /// are also appended to [`LongRun::reports`]). The injection run
-    /// uses the configured scheduler; results are bit-identical at any
-    /// thread count.
+    /// are also appended to [`LongRun::reports`]). Errors on a zero
+    /// interval, on an arrival earlier than its predecessor (after
+    /// running every epoch completed before it), or as
+    /// [`LongRun::run_epoch`].
     pub fn run_stream(
         &mut self,
-        stream: impl Iterator<Item = (SimTime, Transaction)> + Send + 'static,
+        stream: impl Iterator<Item = (SimTime, Transaction)>,
         epoch_interval: SimTime,
     ) -> Result<Vec<EpochReport>, Error> {
-        let driver = StreamDriver::new(stream, epoch_interval);
-        let outcome = Runtime::builder()
-            .scheduler(self.config.runtime.scheduler)
-            .run(vec![driver])?;
-        let mut drivers = outcome.drivers;
-        let Some(driver) = drivers.pop() else {
+        let interval = epoch_interval.as_millis();
+        if interval == 0 {
             return Err(Error::Config {
-                field: "stream",
-                reason: "injection run returned no driver".into(),
+                field: "epoch_interval",
+                reason: "must be positive".into(),
             });
-        };
+        }
         let mut reports = Vec::new();
-        for (_sim_epoch, batch) in driver.into_batches() {
+        let mut batch = Vec::new();
+        let mut last = SimTime::ZERO;
+        for (at, tx) in stream {
+            if at < last {
+                return Err(Error::Config {
+                    field: "stream",
+                    reason: format!("non-monotone arrival stream: {at} after {last}"),
+                });
+            }
+            if at.as_millis() / interval > last.as_millis() / interval && !batch.is_empty() {
+                reports.push(self.run_epoch(&batch)?);
+                batch.clear();
+            }
+            last = at;
+            batch.push(tx);
+        }
+        if !batch.is_empty() {
             reports.push(self.run_epoch(&batch)?);
         }
         Ok(reports)
@@ -361,6 +374,73 @@ mod tests {
             .expect("valid stream");
         assert_eq!(reports.len(), 2, "silent intervals are skipped, not run");
         assert_eq!(lr.reports().len(), 2);
+    }
+
+    #[test]
+    fn rewinding_arrival_errors_after_the_completed_epochs_ran() {
+        // 40 arrivals in interval 0, 19 in interval 2, then one that
+        // rewinds into interval 0: the first batch has already run when
+        // the rewind is pulled, the open second one never runs.
+        let txs = Workload::uniform_contracts(60, 4, FEES, 13).transactions;
+        let stream = txs.into_iter().enumerate().map(|(i, tx)| {
+            let ms = match i {
+                0..=39 => i as u64 * 10,
+                40..=58 => 2_000 + i as u64,
+                _ => 500,
+            };
+            (SimTime::from_millis(ms), tx)
+        });
+        let mut lr = LongRun::new(LongRunConfig::default());
+        let err = lr
+            .run_stream(stream, SimTime::from_millis(1_000))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "stream",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(lr.reports().len(), 1);
+    }
+
+    #[test]
+    fn zero_epoch_interval_is_a_typed_error() {
+        let txs = Workload::uniform_contracts(10, 2, FEES, 5).transactions;
+        let stream = txs.into_iter().map(|tx| (SimTime::ZERO, tx));
+        let mut lr = LongRun::new(LongRunConfig::default());
+        assert!(matches!(
+            lr.run_stream(stream, SimTime::ZERO),
+            Err(Error::Config { .. })
+        ));
+        assert!(lr.reports().is_empty());
+    }
+
+    #[test]
+    fn zero_block_interval_is_rejected_before_the_pipeline_runs() {
+        let mut lr = LongRun::new(LongRunConfig {
+            runtime: RuntimeConfig {
+                mean_block_interval: SimTime::ZERO,
+                ..RuntimeConfig::default()
+            },
+            ..LongRunConfig::default()
+        });
+        let err = lr.run_epoch(&batch(0, 5)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "mean_block_interval",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(lr.pipeline_metrics().epochs, 0);
+        assert!(lr.reports().is_empty());
     }
 
     #[test]

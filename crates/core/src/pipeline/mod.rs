@@ -415,12 +415,9 @@ impl EpochPipeline {
         input: EpochInput<'_>,
         observer: &mut dyn StageObserver,
     ) -> Result<EpochRun, Error> {
-        if input.runtime.block_capacity == 0 {
-            return Err(Error::Config {
-                field: "block_capacity",
-                reason: "must be positive".into(),
-            });
-        }
+        // Checked before classify, whose call graph would otherwise
+        // absorb the batch of an epoch that cannot run.
+        input.runtime.validate()?;
         let mut ctx = EpochCtx {
             transactions: input.transactions,
             fees: input.fees,

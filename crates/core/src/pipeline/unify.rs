@@ -10,7 +10,7 @@
 use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
 use cshard_games::SelectionWarmCache;
 use cshard_primitives::{Error, ShardId};
-use cshard_runtime::{ContractShardDriver, Runtime, SelectionDynamicsStats};
+use cshard_runtime::{ContractShardDriver, Runtime};
 use std::collections::BTreeMap;
 
 /// Runs the epoch. With warm starts enabled, each shard's
@@ -24,8 +24,6 @@ use std::collections::BTreeMap;
 pub struct UnifyStage {
     warm: bool,
     caches: BTreeMap<ShardId, SelectionWarmCache>,
-    epochs: u64,
-    rounds: u64,
 }
 
 impl UnifyStage {
@@ -34,21 +32,6 @@ impl UnifyStage {
         UnifyStage {
             warm,
             caches: BTreeMap::new(),
-            epochs: 0,
-            rounds: 0,
-        }
-    }
-
-    /// Cumulative selection-dynamics accounting across every epoch this
-    /// stage ran (sweep counts from the drivers, hit/miss counts from the
-    /// per-shard caches).
-    pub fn selection_stats(&self) -> SelectionDynamicsStats {
-        let (hits, misses) = self.cache_counts();
-        SelectionDynamicsStats {
-            epochs: self.epochs,
-            rounds: self.rounds,
-            warm_hits: hits,
-            warm_misses: misses,
         }
     }
 
@@ -65,13 +48,8 @@ impl PipelineStage for UnifyStage {
     }
 
     fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
-        // The same validation `cshard_runtime::simulate` performs, ahead
-        // of driver construction (whose constructor asserts).
-        if let Some(spec) = ctx.specs.iter().find(|s| s.miners == 0) {
-            return Err(Error::NoMiners { shard: spec.shard });
-        }
         let (hits_before, misses_before) = self.cache_counts();
-        let drivers: Vec<ContractShardDriver> = ctx
+        let drivers = ctx
             .specs
             .iter()
             .map(|spec| {
@@ -85,7 +63,7 @@ impl PipelineStage for UnifyStage {
                     ContractShardDriver::new(spec, &ctx.runtime)
                 }
             })
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         let outcome = Runtime::builder()
             .scheduler(ctx.runtime.scheduler)
             .run(drivers)?;
@@ -93,16 +71,13 @@ impl PipelineStage for UnifyStage {
 
         let mut epoch_rounds = 0;
         for (spec, driver) in ctx.specs.iter().zip(finished) {
-            let stats = driver.selection_stats();
-            self.epochs += stats.epochs;
-            epoch_rounds += stats.rounds;
+            epoch_rounds += driver.selection_stats().rounds;
             if self.warm {
                 if let Some(cache) = driver.into_warm_cache() {
                     self.caches.insert(spec.shard, cache);
                 }
             }
         }
-        self.rounds += epoch_rounds;
         let (hits_after, misses_after) = self.cache_counts();
 
         let out = StageOutput {

@@ -189,8 +189,9 @@ pub fn run_with_migration(
     })
 }
 
-/// The one harness body: validates the inputs, builds one
-/// [`SettlingShardDriver`] per spec (partitioned shards get their
+/// The one harness body: validates the plan and the per-shard list
+/// shapes, builds one [`SettlingShardDriver`] per spec (its constructor
+/// validates the config and the spec; partitioned shards get their
 /// propagation model rewritten first, and every pair toward a transfer
 /// or ticket destination is blacked out while *either* endpoint is
 /// partitioned — the source cannot send, the destination cannot
@@ -204,7 +205,6 @@ fn run_body(
     plan: &FaultPlan,
 ) -> Result<RunOutcome<FaultyDriver<SettlingShardDriver>>, Error> {
     plan.validate()?;
-    config.settle.validate()?;
     for (field, lists) in [
         ("transfers", transfers.len()),
         ("schedules", schedules.len()),
@@ -218,15 +218,6 @@ fn run_body(
                 ),
             });
         }
-    }
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
     }
     let mut drivers = Vec::with_capacity(shards.len());
     for ((spec, outbound), schedule) in shards.iter().zip(transfers).zip(schedules) {
@@ -296,6 +287,25 @@ mod tests {
             ..config(1)
         };
         assert!(run_with_faults(&specs(), &zero_cap, &FaultPlan::none(0)).is_err());
+    }
+
+    #[test]
+    fn zero_block_interval_is_a_typed_error() {
+        let zero_interval = RuntimeConfig {
+            mean_block_interval: SimTime::ZERO,
+            ..config(1)
+        };
+        let err = run_with_faults(&specs(), &zero_interval, &FaultPlan::none(0)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "mean_block_interval",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -119,6 +119,29 @@ impl RuntimeConfig {
     pub fn conflict_window(&self) -> SimTime {
         self.propagation.conflict_window()
     }
+
+    /// Checks the run parameters every driver depends on: a positive
+    /// block capacity, a positive mean block interval (miners draw
+    /// exponential block times from it) and a valid settlement config.
+    /// Every driver constructor calls this, so an invalid config is a
+    /// typed error before any event is scheduled.
+    pub fn validate(&self) -> Result<(), Error> {
+        for (field, zero) in [
+            ("block_capacity", self.block_capacity == 0),
+            (
+                "mean_block_interval",
+                self.mean_block_interval == SimTime::ZERO,
+            ),
+        ] {
+            if zero {
+                return Err(Error::Config {
+                    field,
+                    reason: "must be positive".into(),
+                });
+            }
+        }
+        self.settle.validate()
+    }
 }
 
 impl Default for RuntimeConfig {
@@ -353,21 +376,25 @@ pub struct ContractShardDriver {
 impl ContractShardDriver {
     /// Builds the driver for one shard spec under `config`.
     ///
-    /// # Panics
-    /// Panics when the spec assigns no miners.
-    pub fn new(spec: &ShardSpec, config: &RuntimeConfig) -> ContractShardDriver {
-        assert!(spec.miners > 0, "shard {} has no miners", spec.shard);
+    /// # Errors
+    /// [`Error::NoMiners`] when the spec assigns no miners, otherwise
+    /// whatever [`RuntimeConfig::validate`] rejects.
+    pub fn new(spec: &ShardSpec, config: &RuntimeConfig) -> Result<ContractShardDriver, Error> {
+        if spec.miners == 0 {
+            return Err(Error::NoMiners { shard: spec.shard });
+        }
+        config.validate()?;
         let mut root = shard_stream(config.seed, spec.shard);
         let epoch_rng = root.fork(0x4550_4F43); // "EPOC"
         let miner_rngs: Vec<SimRng> = (0..spec.miners as u64).map(|m| root.fork(m)).collect();
         let prop_rng = root.fork(0x5052_4F50); // "PROP"
-        ContractShardDriver {
+        Ok(ContractShardDriver {
             st: ShardState::new(spec.clone(), epoch_rng),
             miner_rngs,
             prop_rng,
             candidate: Vec::with_capacity(config.block_capacity),
             config: config.clone(),
-        }
+        })
     }
 
     /// Builds the driver with a cross-epoch [`SelectionWarmCache`]
@@ -378,18 +405,15 @@ impl ContractShardDriver {
     /// cache hit seeds the dynamics at an equilibrium of the *identical*
     /// game, which certifies in one sweep to the identical assignment.
     /// Only the sweep counts in [`selection_stats`](Self::selection_stats)
-    /// shrink.
-    ///
-    /// # Panics
-    /// Panics when the spec assigns no miners.
+    /// shrink. Errors exactly as [`ContractShardDriver::new`].
     pub fn with_warm_cache(
         spec: &ShardSpec,
         config: &RuntimeConfig,
         cache: SelectionWarmCache,
-    ) -> ContractShardDriver {
-        let mut driver = ContractShardDriver::new(spec, config);
+    ) -> Result<ContractShardDriver, Error> {
+        let mut driver = ContractShardDriver::new(spec, config)?;
         driver.st.warm_cache = Some(cache);
-        driver
+        Ok(driver)
     }
 
     /// Takes the warm cache back out after a run (to thread it into the
@@ -597,17 +621,22 @@ pub struct EthereumDriver {
 
 impl EthereumDriver {
     /// All transactions on one chain, `miners` identical greedy miners
-    /// (Sec. VI-A's benchmark).
-    pub fn new(fees: Vec<u64>, miners: usize, config: &RuntimeConfig) -> EthereumDriver {
+    /// (Sec. VI-A's benchmark). Errors exactly as
+    /// [`ContractShardDriver::new`].
+    pub fn new(
+        fees: Vec<u64>,
+        miners: usize,
+        config: &RuntimeConfig,
+    ) -> Result<EthereumDriver, Error> {
         let spec = ShardSpec {
             shard: ShardId::MAX_SHARD,
             fees,
             miners,
             strategy: SelectionStrategy::IdenticalGreedy,
         };
-        EthereumDriver {
-            inner: ContractShardDriver::new(&spec, config),
-        }
+        Ok(EthereumDriver {
+            inner: ContractShardDriver::new(&spec, config)?,
+        })
     }
 }
 
@@ -632,29 +661,21 @@ impl ProtocolDriver for EthereumDriver {
 /// Runs the simulation to completion (every injected transaction of every
 /// shard confirmed) and reports.
 ///
-/// Thin wrapper: builds one [`ContractShardDriver`] per spec and hands
-/// them to [`Runtime::run`]. Shards are independent drivers — each derives
-/// its randomness from `(config.seed, shard)` via a PRF and owns its event
-/// queue, so the harness may run them on any number of threads
-/// ([`RuntimeConfig::scheduler`]) and the report is bit-for-bit identical
-/// to a sequential run.
+/// Thin wrapper: builds one [`ContractShardDriver`] per spec and runs
+/// them through [`Runtime::builder`]. Shards are independent drivers —
+/// each derives its randomness from `(config.seed, shard)` via a PRF and
+/// owns its event queue, so the harness may run them on any number of
+/// threads ([`RuntimeConfig::scheduler`]) and the report is bit-for-bit
+/// identical to a sequential run.
 ///
-/// Errors on an invalid configuration (zero [`RuntimeConfig::block_capacity`],
-/// a minerless spec) or a malformed event stream, instead of panicking.
+/// Errors on an invalid configuration or spec (see
+/// [`ContractShardDriver::new`]) or a malformed event stream, instead of
+/// panicking.
 pub fn simulate(shards: &[ShardSpec], config: &RuntimeConfig) -> Result<RunReport, Error> {
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
-    }
-    let drivers: Vec<ContractShardDriver> = shards
+    let drivers = shards
         .iter()
         .map(|spec| ContractShardDriver::new(spec, config))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     Runtime::builder()
         .scheduler(config.scheduler)
         .run(drivers)
@@ -663,19 +684,14 @@ pub fn simulate(shards: &[ShardSpec], config: &RuntimeConfig) -> Result<RunRepor
 
 /// Convenience: the Ethereum baseline — all transactions on one chain,
 /// `miners` identical greedy miners (Sec. VI-A's benchmark). Thin wrapper
-/// over [`EthereumDriver`] on the shared [`Runtime`].
+/// over [`EthereumDriver`] on the shared [`Runtime`]; errors as
+/// [`simulate`].
 pub fn simulate_ethereum(
     fees: Vec<u64>,
     miners: usize,
     config: &RuntimeConfig,
 ) -> Result<RunReport, Error> {
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    let driver = EthereumDriver::new(fees, miners, config);
+    let driver = EthereumDriver::new(fees, miners, config)?;
     Runtime::builder()
         .scheduler(config.scheduler)
         .run(vec![driver])
@@ -894,6 +910,17 @@ mod tests {
     }
 
     #[test]
+    fn ethereum_without_miners_rejected() {
+        let err = super::simulate_ethereum(fees(5), 0, &cfg(0)).unwrap_err();
+        assert_eq!(
+            err,
+            Error::NoMiners {
+                shard: ShardId::MAX_SHARD
+            }
+        );
+    }
+
+    #[test]
     fn zero_block_capacity_rejected() {
         let bad = RuntimeConfig {
             block_capacity: 0,
@@ -904,6 +931,39 @@ mod tests {
             err,
             Error::Config {
                 field: "block_capacity",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn zero_block_interval_rejected() {
+        let bad = RuntimeConfig {
+            mean_block_interval: SimTime::ZERO,
+            ..cfg(0)
+        };
+        let specs = [ShardSpec::solo_greedy(ShardId::new(0), fees(5))];
+        let err = super::simulate(&specs, &bad).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Config {
+                field: "mean_block_interval",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn invalid_settle_config_rejected() {
+        let bad = RuntimeConfig {
+            settle: SettleConfig::batched(0),
+            ..cfg(0)
+        };
+        let err = super::simulate_ethereum(fees(5), 1, &bad).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Config {
+                field: "settle.batch_cap",
                 ..
             }
         ));
@@ -983,7 +1043,8 @@ mod tests {
         let config = cfg(3);
         let plain = simulate(std::slice::from_ref(&spec), &config);
 
-        let cold = ContractShardDriver::with_warm_cache(&spec, &config, SelectionWarmCache::new());
+        let cold = ContractShardDriver::with_warm_cache(&spec, &config, SelectionWarmCache::new())
+            .expect("valid test config");
         let outcome = Runtime::builder()
             .run(vec![cold])
             .expect("valid test config");
@@ -999,7 +1060,8 @@ mod tests {
             .expect("cache was installed");
         assert_eq!(cache.len() as u64, cold_stats.warm_misses);
 
-        let warm = ContractShardDriver::with_warm_cache(&spec, &config, cache);
+        let warm =
+            ContractShardDriver::with_warm_cache(&spec, &config, cache).expect("valid test config");
         let outcome = Runtime::builder()
             .run(vec![warm])
             .expect("valid test config");

@@ -14,8 +14,9 @@ pub enum Event {
     /// A transaction enters the shard's unconfirmed queue. The golden
     /// experiment paths inject the whole workload at t = 0 without
     /// events (matching the paper's setup, where injection precedes the
-    /// measured run); drivers that model staggered arrival — the
-    /// ChainSpace 2PC pipeline — schedule these explicitly.
+    /// measured run), and a streamed workload is cut into epoch batches
+    /// before any driver runs (`LongRun::run_stream`). Only the ChainSpace
+    /// 2PC pipeline schedules these, one per cross-shard transaction.
     TxInjected {
         /// Driver-scoped transaction index.
         tx: usize,

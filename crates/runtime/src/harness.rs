@@ -23,31 +23,6 @@ struct DriverTask<D> {
     last_event: Option<Event>,
 }
 
-/// The run's two scheduler passes, as the [`RunObserver`] sees them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunPhase {
-    /// Phase 1: every driver with work runs to [`ProtocolDriver::done`].
-    Active,
-    /// Phase 2: early finishers replay pending events strictly before the
-    /// global completion time (idle-mining accounting).
-    IdleDrain,
-}
-
-/// Caller-side run hooks, mirroring the pipeline's `StageObserver`: the
-/// harness itself reads wall clocks only for the report's diagnostic
-/// fields, so a bench that wants per-phase timing brackets these hooks
-/// with its own `Instant` reads.
-pub trait RunObserver {
-    /// Called immediately before a phase's scheduler drain starts.
-    fn phase_started(&mut self, phase: RunPhase) {
-        let _ = phase;
-    }
-    /// Called after the phase drained, with its scheduling statistics.
-    fn phase_finished(&mut self, phase: RunPhase, stats: &DrainStats) {
-        let _ = (phase, stats);
-    }
-}
-
 /// Scheduling statistics of one completed run: what each of the two
 /// phases admitted, skipped and executed. Sim-clock-free counters
 /// (ND001-clean); deliberately outside the fingerprinted report surface.
@@ -121,31 +96,24 @@ impl<D> std::fmt::Debug for RunOutcome<D> {
 /// let drivers = vec![ContractShardDriver::new(
 ///     &ShardSpec::solo_greedy(ShardId::new(0), vec![5, 3, 8]),
 ///     &config,
-/// )];
+/// )
+/// .expect("valid spec")];
 /// let outcome = Runtime::builder()
 ///     .scheduler(SchedulerConfig::per_core())
 ///     .run(drivers)
 ///     .expect("well-formed");
 /// assert_eq!(outcome.report.total_txs(), 3);
 /// ```
-pub struct RunBuilder<'obs> {
+pub struct RunBuilder {
     config: SchedulerConfig,
     comm: CommStats,
-    observer: Option<&'obs mut dyn RunObserver>,
 }
 
-impl<'obs> RunBuilder<'obs> {
+impl RunBuilder {
     /// The scheduler configuration (worker count + turn budget) for both
     /// phases. Defaults to sequential.
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Shorthand for [`RunBuilder::scheduler`] with just a worker count
-    /// (`0` = one per core, `1` = inline/sequential).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
         self
     }
 
@@ -154,12 +122,6 @@ impl<'obs> RunBuilder<'obs> {
     /// counter is created (and handed back in the outcome) otherwise.
     pub fn comm_stats(mut self, comm: CommStats) -> Self {
         self.comm = comm;
-        self
-    }
-
-    /// Installs per-phase hooks for the run (bench-side wall timing).
-    pub fn observer(mut self, observer: &'obs mut dyn RunObserver) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -174,12 +136,8 @@ impl<'obs> RunBuilder<'obs> {
     /// rejects an event ([`Error::UnexpectedEvent`]). The event loop
     /// itself never panics.
     pub fn run<D: ProtocolDriver>(self, drivers: Vec<D>) -> Result<RunOutcome<D>, Error> {
-        let RunBuilder {
-            config,
-            comm,
-            observer,
-        } = self;
-        let (report, drivers, sched) = execute(config, &comm, observer, drivers)?;
+        let RunBuilder { config, comm } = self;
+        let (report, drivers, sched) = execute(config, &comm, drivers)?;
         let mut settle = SettleStats::new();
         for stats in drivers.iter().filter_map(|d| d.settle_stats()) {
             settle.merge(&stats);
@@ -220,13 +178,12 @@ impl<'obs> RunBuilder<'obs> {
 pub struct Runtime;
 
 impl Runtime {
-    /// The fluent launch surface: configure scheduler, communication
-    /// counter and observer, then [`RunBuilder::run`].
-    pub fn builder<'obs>() -> RunBuilder<'obs> {
+    /// The fluent launch surface: configure scheduler and communication
+    /// counter, then [`RunBuilder::run`].
+    pub fn builder() -> RunBuilder {
         RunBuilder {
             config: SchedulerConfig::default(),
             comm: CommStats::new(),
-            observer: None,
         }
     }
 }
@@ -235,7 +192,6 @@ impl Runtime {
 fn execute<D: ProtocolDriver>(
     config: SchedulerConfig,
     comm: &CommStats,
-    mut observer: Option<&mut dyn RunObserver>,
     drivers: Vec<D>,
 ) -> Result<(RunReport, Vec<D>, RunSchedStats), Error> {
     let run_start = Instant::now();
@@ -267,9 +223,6 @@ fn execute<D: ProtocolDriver>(
 
     // Phase 1: admit drivers with unfinished work; each turn processes up
     // to `budget` events, yielding (and re-enqueueing) in between.
-    if let Some(obs) = observer.as_deref_mut() {
-        obs.phase_started(RunPhase::Active);
-    }
     let (tasks, active) = scheduler.drain(
         tasks,
         |t| !t.driver.done(),
@@ -308,9 +261,6 @@ fn execute<D: ProtocolDriver>(
             outcome
         },
     )?;
-    if let Some(obs) = observer.as_deref_mut() {
-        obs.phase_finished(RunPhase::Active, &active);
-    }
 
     // Global completion = the last confirmation anywhere.
     let completion = tasks
@@ -322,9 +272,6 @@ fn execute<D: ProtocolDriver>(
     // Phase 2: idle-drain early finishers up to the global completion.
     // Admission is the same predicate the turn loop re-checks: an event
     // strictly before the completion time is pending replay.
-    if let Some(obs) = observer.as_deref_mut() {
-        obs.phase_started(RunPhase::IdleDrain);
-    }
     let pending = |t: &DriverTask<D>| t.queue.next_time().is_some_and(|at| at < completion);
     let (tasks, idle_drain) = scheduler.drain(tasks, pending, |_, t| {
         let start = Instant::now();
@@ -351,9 +298,6 @@ fn execute<D: ProtocolDriver>(
         t.wall += start.elapsed();
         outcome
     })?;
-    if let Some(obs) = observer {
-        obs.phase_finished(RunPhase::IdleDrain, &idle_drain);
-    }
 
     let mut drivers = Vec::with_capacity(tasks.len());
     let mut shards = Vec::with_capacity(tasks.len());
@@ -449,7 +393,7 @@ mod tests {
         let mk = || vec![ticker(0, 5), ticker(1, 2), ticker(2, 9)];
         let seq = Runtime::builder().run(mk()).expect("well-formed");
         let par = Runtime::builder()
-            .threads(4)
+            .scheduler(SchedulerConfig::new(4))
             .run(mk())
             .expect("well-formed");
         assert_eq!(seq.report.fingerprint(), par.report.fingerprint());
@@ -487,31 +431,6 @@ mod tests {
         assert_eq!(outcome.sched.active.per_slot_turns[0], 0);
         assert!(outcome.sched.idle_drain.skipped >= 1);
         assert_eq!(outcome.report.shards[0].events_processed, 0);
-    }
-
-    #[test]
-    fn observer_sees_both_phases_in_order() {
-        #[derive(Default)]
-        struct Recorder {
-            started: Vec<RunPhase>,
-            finished: Vec<(RunPhase, u64)>,
-        }
-        impl RunObserver for Recorder {
-            fn phase_started(&mut self, phase: RunPhase) {
-                self.started.push(phase);
-            }
-            fn phase_finished(&mut self, phase: RunPhase, stats: &DrainStats) {
-                self.finished.push((phase, stats.scheduled));
-            }
-        }
-        let mut rec = Recorder::default();
-        Runtime::builder()
-            .observer(&mut rec)
-            .run(vec![ticker(0, 3), ticker(1, 7)])
-            .expect("well-formed");
-        assert_eq!(rec.started, vec![RunPhase::Active, RunPhase::IdleDrain]);
-        assert_eq!(rec.finished.len(), 2);
-        assert_eq!(rec.finished[0], (RunPhase::Active, 2));
     }
 
     #[test]

@@ -24,16 +24,18 @@
 //!   on the shard-lifecycle scheduler (`cshard_sim::WorkScheduler`) and
 //!   assembles the [`RunReport`]. Runs launch through the fluent
 //!   [`Runtime::builder`] ([`RunBuilder`]), which threads a
-//!   [`SchedulerConfig`] (worker count + turn budget), an optional shared
-//!   [`cshard_network::CommStats`] and an optional [`RunObserver`]
-//!   through both phases. All host wall-clock reads live here, behind the
-//!   report layer — drivers are replayable pure functions of their event
-//!   streams.
+//!   [`SchedulerConfig`] (worker count + turn budget) and an optional
+//!   shared [`cshard_network::CommStats`] through both phases. All host
+//!   wall-clock reads live here, behind the report layer — drivers are
+//!   replayable pure functions of their event streams.
 //!
 //! The concrete drivers for the paper's protocols live here too:
 //! [`ContractShardDriver`] (one shard of the contract-centric scheme or,
 //! on the MaxShard, vanilla Ethereum) and [`EthereumDriver`] (the
-//! degenerate single-chain instance). [`SettlingShardDriver`] carries
+//! degenerate single-chain instance). Their constructors are the one
+//! place a run is validated: [`RuntimeConfig::validate`] plus the
+//! per-spec miner check, returned as typed errors before any event is
+//! scheduled. [`SettlingShardDriver`] carries
 //! the cross-shard accounting on top of a contract shard in one driver:
 //! batched settlement of outbound transfers ([`Event::SettlementFlush`])
 //! and scheduled hot-account moves ([`MigrationTicket`],
@@ -54,7 +56,6 @@ pub mod harness;
 pub mod propagation;
 pub mod report;
 pub mod settle;
-pub mod stream;
 
 pub use contract::{
     shard_stream, simulate, simulate_ethereum, ContractShardDriver, EthereumDriver, RuntimeConfig,
@@ -66,8 +67,7 @@ pub use cshard_settle::{
 pub use cshard_sim::{DrainStats, SchedulerConfig};
 pub use driver::{Ctx, ProtocolDriver};
 pub use event::Event;
-pub use harness::{RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime};
+pub use harness::{RunBuilder, RunOutcome, RunSchedStats, Runtime};
 pub use propagation::PropagationModel;
 pub use report::{throughput_improvement, RunReport, ShardReport};
 pub use settle::{MigrationStats, MigrationTicket, SettlingShardDriver};
-pub use stream::{ArrivalSource, StreamDriver};

@@ -128,10 +128,8 @@ impl SettlingShardDriver {
     /// # Errors
     /// [`Error::Config`] on `transfers` when a transfer references a
     /// transaction the shard does not have, and on `schedules` when a
-    /// ticket references a transfer slot outside the table.
-    ///
-    /// # Panics
-    /// Panics when the spec assigns no miners.
+    /// ticket references a transfer slot outside the table; otherwise
+    /// whatever [`ContractShardDriver::new`] rejects.
     pub fn new(
         spec: &ShardSpec,
         config: &RuntimeConfig,
@@ -163,7 +161,7 @@ impl SettlingShardDriver {
         }
         let n = schedule.len();
         Ok(SettlingShardDriver {
-            inner: ContractShardDriver::new(spec, config),
+            inner: ContractShardDriver::new(spec, config)?,
             batcher: SettlementBatcher::new(spec.shard, &config.settle),
             submitted: vec![false; slots],
             transfers,
@@ -339,6 +337,7 @@ mod tests {
     use super::*;
     use crate::harness::{RunOutcome, Runtime};
     use cshard_settle::SettleConfig;
+    use cshard_sim::SchedulerConfig;
 
     fn spec(shard: u32, txs: usize) -> ShardSpec {
         ShardSpec::solo_greedy(ShardId::new(shard), (1..=txs as u64).collect())
@@ -369,7 +368,7 @@ mod tests {
 
     fn run_driver(driver: SettlingShardDriver, threads: usize) -> RunOutcome<SettlingShardDriver> {
         Runtime::builder()
-            .threads(threads)
+            .scheduler(SchedulerConfig::new(threads))
             .run(vec![driver])
             .expect("well-formed")
     }

@@ -1,11 +1,13 @@
 # Development workflow for contractshard. `just verify` is the gate CI runs.
 
-# Build, test, format-check and lint the whole workspace.
+# Build, test, format-check and lint the whole workspace, then test the
+# benchmark package (its own workspace under epochbench/).
 verify:
     cargo fmt --check
     cargo build --release --workspace
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo test --release --manifest-path epochbench/Cargo.toml
 
 # Determinism & safety lint over every workspace crate (policy.toml is the
 # policy table; exit 1 on findings, each printed as `file:line: RULE message`

@@ -48,9 +48,9 @@
 //! | [`primitives`] | hashes, addresses, amounts, ids, simulated time |
 //! | [`crypto`] | SHA-256, PRF, simulated VRF, randomness beacon |
 //! | [`ledger`] | accounts, contracts, transactions, blocks, chains, mempool, call graph |
-//! | [`consensus`] | real PoW + the Poisson mining model |
+//! | [`consensus`] | real PoW, difficulty and retargeting |
 //! | [`network`] | latency model + cross-shard communication accounting |
-//! | [`sim`] | deterministic discrete-event engine + the shard-lifecycle work scheduler |
+//! | [`sim`] | deterministic discrete-event engine, seeded RNG (exponential block times) + the shard-lifecycle work scheduler |
 //! | [`runtime`] | typed events, the `ProtocolDriver` trait, propagation models, the `Runtime::builder()` run harness |
 //! | [`games`] | merging game (Alg. 1+3), selection game (Alg. 2), parameter unification |
 //! | [`security`] | Fig. 1(d) shard safety and the Eq. (3)–(6) corruption bounds |
@@ -104,8 +104,7 @@ pub mod prelude {
     pub use cshard_primitives::{Address, Amount, ContractId, Hash32, MinerId, ShardId, SimTime};
     pub use cshard_runtime::{
         ContractShardDriver, Ctx, EthereumDriver, Event, MigrationStats, MigrationTicket,
-        PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase,
-        RunSchedStats, Runtime,
+        PropagationModel, ProtocolDriver, RunBuilder, RunOutcome, RunSchedStats, Runtime,
     };
     pub use cshard_security::{shard_safety, CorruptionThreshold};
     pub use cshard_sim::{DrainStats, SchedulerConfig, WorkScheduler};
